@@ -10,7 +10,7 @@ semidihedral families backs a command line interface (``pgph``).
 """
 
 from pgph.config import Budgets, default_budgets
-from pgph.errors import BudgetExceededError, DataError, PgphError
+from pgph.errors import BudgetExceededError, ConsistencyError, DataError, PgphError
 
 __version__ = "0.1.0"
 

@@ -8,7 +8,7 @@ is canonical (sorted keys, no whitespace), so identical inputs produce
 byte-identical files.
 
 Exit codes: 0 success, 1 selftest failure, 2 usage error, 3 budget
-exceeded, 4 bad data.
+exceeded, 4 bad data, 5 failed internal consistency check.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from pgph.barcomplex import bar_homology_fp
 from pgph.catalog import (bundled_catalog, bundled_group, bundled_order,
                           load_catalog, load_group_file, write_catalog)
 from pgph.coclass import FAMILY_KINDS, tree_persistence
-from pgph.errors import BudgetExceededError, DataError
+from pgph.errors import BudgetExceededError, ConsistencyError, DataError
 from pgph.groups import (abelianization_invariants, min_generators,
                          quotient_chain, series)
 from pgph.persistence import (barcode, classify, integral_persistence_matrix,
@@ -42,6 +42,7 @@ EXIT_SELFTEST = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_DATA = 4
+EXIT_CONSISTENCY = 5
 
 
 def _canonical(payload) -> str:
@@ -332,6 +333,9 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except ConsistencyError as exc:
+        print(f"internal consistency error: {exc}", file=sys.stderr)
+        return EXIT_CONSISTENCY
 
 
 if __name__ == "__main__":

@@ -9,6 +9,10 @@ class DataError(PgphError):
     """Malformed or inconsistent input data (files, catalogs, matrices)."""
 
 
+class ConsistencyError(PgphError):
+    """An internal consistency check failed, so no exact answer is given."""
+
+
 class BudgetExceededError(PgphError):
     """A computation would exceed a configured resource budget.
 

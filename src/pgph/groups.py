@@ -422,9 +422,11 @@ def group_from_permutations(perms: Sequence[Sequence[int]],
                             order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Close a list of permutations (0-based image tuples) into a group.
 
-    Elements are numbered breadth-first from the identity, multiplying by
-    the given generators in order, so the numbering is reproducible.
-    Composition applies the left factor first.
+    Elements are numbered breadth-first from the identity, right-multiplying
+    each element by the given generators in order (composition applies the
+    left factor first), so the numbering is reproducible.  If element j was
+    first reached as x * g_k, then a * j = (a * x) * g_k, so column j of the
+    Cayley table is column x sent through right multiplication by g_k.
     """
     if not perms:
         raise DataError("at least one generating permutation is required")
@@ -438,26 +440,29 @@ def group_from_permutations(perms: Sequence[Sequence[int]],
     identity = tuple(range(degree))
     index = {identity: 0}
     elements = [identity]
-    queue = [identity]
-    while queue:
-        nxt_queue = []
-        for elem in queue:
-            for gen in gens:
-                prod = tuple(gen[x] for x in elem)
-                if prod not in index:
-                    if len(elements) >= order_cap:
-                        raise BudgetExceededError("permutation closure",
-                                                  order_cap + 1, order_cap)
-                    index[prod] = len(elements)
-                    elements.append(prod)
-                    nxt_queue.append(prod)
-        queue = nxt_queue
+    parents = [(0, 0)]  # parents[j] = (x, k): elements[j] = elements[x] * gens[k]
+    right: list[list[int]] = [[] for _ in gens]  # right[k][x] = index of x * gens[k]
+    # scanning ``elements`` in order while appending is breadth-first search
+    for x, elem in enumerate(elements):
+        for k, gen in enumerate(gens):
+            prod = tuple(gen[v] for v in elem)
+            j = index.get(prod)
+            if j is None:
+                if len(elements) >= order_cap:
+                    raise BudgetExceededError("permutation closure",
+                                              order_cap + 1, order_cap)
+                j = index[prod] = len(elements)
+                elements.append(prod)
+                parents.append((x, k))
+            right[k].append(j)
     n = len(elements)
-    table = np.empty((n, n), dtype=np.int32)
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            table[i, j] = index[tuple(b[x] for x in a)]
-    return FiniteGroup(table, validate=False)
+    right_mul = np.array(right, dtype=np.int32)
+    columns = np.empty((n, n), dtype=np.int32)  # columns[j] = table[:, j]
+    columns[0] = np.arange(n, dtype=np.int32)
+    for j in range(1, n):
+        x, k = parents[j]
+        columns[j] = right_mul[k][columns[x]]
+    return FiniteGroup(np.ascontiguousarray(columns.T), validate=False)
 
 
 def min_generators(group: FiniteGroup) -> list[int]:

@@ -33,6 +33,7 @@ __all__ = [
 _PACK_MIN_ENTRIES = 1 << 16
 
 _INT64_GUARD = 1 << 40  # switch integer elimination to Python ints beyond this
+_INT64_SAFE = 1 << 62  # bound every int64 row update stays below
 
 
 def _as_fp(a, p: int) -> np.ndarray:
@@ -283,12 +284,20 @@ def _snf_core(rows: list[list[int]]) -> list[int]:
     return diag
 
 
+def _update_fits(scale, row, target_max: int) -> bool:
+    """Whether target - outer(scale, row) is sure to fit in int64, given
+    target_max = max|target|."""
+    bound = int(np.abs(scale).max()) * int(np.abs(row).max()) + target_max
+    return bound < _INT64_SAFE
+
+
 def snf_diagonal(a) -> list[int]:
     """Smith normal form diagonal (no transforms), divisibility chain order.
 
     Unit pivots are eliminated in a vectorized numpy phase first; the
     leftover core, if any, goes through exact Python-int reduction.  Falls
-    back to the exact path entirely if entries threaten to overflow int64.
+    back to the exact path for the rest as soon as an update could
+    overflow int64.
     """
     rows = _to_int_rows(a)
     m = len(rows)
@@ -308,12 +317,11 @@ def snf_diagonal(a) -> list[int]:
         col = M[:, j].copy()
         col[i] = 0
         if np.any(col):
+            if not _update_fits(col, M[i], int(np.abs(M).max())):
+                return [1] * ones + _snf_core(M.tolist())
             M = M - np.outer(col * s, M[i])
         M = np.delete(np.delete(M, i, axis=0), j, axis=1)
         ones += 1
-        if M.size and int(np.abs(M).max()) >= _INT64_GUARD:
-            core = _snf_core([[int(v) for v in row] for row in M])
-            return [1] * ones + core
     core = _snf_core([[int(v) for v in row] for row in M]) if M.size else []
     diag = [1] * ones + core
     return diag
@@ -448,6 +456,12 @@ def int_kernel_basis(a) -> np.ndarray:
     n = len(A[0]) if m else 0
     if m == 0:
         return np.zeros((0, 0), dtype=np.int64)
+
+    def exact():
+        rows = _int_kernel_slow(A, m, n)
+        wide = any(abs(v) >= 1 << 62 for row in rows for v in row)
+        return np.array(rows, dtype=object if wide else np.int64).reshape(-1, m)
+
     M = np.hstack([np.array(A, dtype=np.int64).reshape(m, n),
                    np.eye(m, dtype=np.int64)])
     r = 0
@@ -463,14 +477,16 @@ def int_kernel_basis(a) -> np.ndarray:
             quotients = M[r + 1 :, c] // M[r, c]
             hit = np.nonzero(quotients)[0]
             if hit.size:
-                M[r + 1 + hit] -= quotients[hit, None] * M[r]
+                targets = r + 1 + hit
+                if not _update_fits(quotients[hit], M[r],
+                                    int(np.abs(M[targets]).max())):
+                    return exact()
+                M[targets] -= quotients[hit, None] * M[r]
             if not np.any(M[r + 1 :, c]):
                 r += 1
                 break
         if int(np.abs(M).max(initial=0)) >= _INT64_GUARD:
-            rows = _int_kernel_slow(A, m, n)
-            wide = any(abs(v) >= 1 << 62 for row in rows for v in row)
-            return np.array(rows, dtype=object if wide else np.int64).reshape(-1, m)
+            return exact()
     return M[r:, n:]
 
 

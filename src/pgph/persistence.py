@@ -22,6 +22,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -29,7 +30,8 @@ import numpy as np
 from pgph import linalg
 from pgph.barcomplex import integral_induced_triple
 from pgph.config import Budgets
-from pgph.errors import BudgetExceededError, DataError, PgphError
+from pgph.errors import (BudgetExceededError, ConsistencyError, DataError,
+                          PgphError)
 from pgph.groups import (FiniteGroup, QuotientChain, Subgroup, min_generators,
                          quotient_chain, series)
 from pgph.resolution import induced_map, minimal_resolution
@@ -326,12 +328,23 @@ def classify(catalog, functor: str, max_degree: int,
     max_workers = workers or min(len(pairs), os.cpu_count() or 1)
     serials: dict[str, tuple[str, ...]] = {}
     failures: list[dict] = []
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        for (name, _), future in [(item, pool.submit(job, item)) for item in pairs]:
-            try:
-                serials[name] = future.result().serialized
-            except PgphError as exc:
-                failures.append({"group": name, "error": str(exc)})
+
+    def collect(name, run):
+        try:
+            serials[name] = run().serialized
+        except ConsistencyError:
+            raise  # a defect, not a group this run could not finish
+        except PgphError as exc:
+            failures.append({"group": name, "error": str(exc)})
+
+    if max_workers == 1:
+        # inline, so profilers and tracers see the work on this thread
+        for item in pairs:
+            collect(item[0], partial(job, item))
+    else:
+        with ThreadPoolExecutor(max_workers=max_workers) as pool:
+            for (name, _), future in [(item, pool.submit(job, item)) for item in pairs]:
+                collect(name, future.result)
 
     names = [name for name, _ in pairs if name in serials]
     if not names:

@@ -24,6 +24,7 @@ import numpy as np
 
 from pgph import linalg
 from pgph.config import Budgets, default_budgets
+from pgph.errors import ConsistencyError
 from pgph.groups import FiniteGroup, GroupHom
 
 _RESOLUTIONS: dict[tuple, "MinimalResolution"] = {}
@@ -74,7 +75,7 @@ def _select_outside_span(reduced_base, pivot_cols, candidates, p, want):
                 break
             v = (v - v[lead] * extra[lead]) % p
     if len(chosen) != want:
-        raise AssertionError("kernel generators did not span the quotient")
+        raise ConsistencyError("kernel generators did not span the quotient")
     return chosen
 
 

@@ -3,6 +3,7 @@
 import json
 import xml.etree.ElementTree as ET
 
+from pgph import resolution
 from pgph.catalog import bundled_group, bundled_order, write_catalog
 from pgph.cli import main
 from pgph.persistence import persistence_matrix
@@ -46,6 +47,21 @@ def test_budget_exhaustion_exits_three(capsys, monkeypatch, cold_caches):
                                 "--series", "L", "--degree", "3"])
     assert code == 3
     assert "budget" in err
+
+
+def test_consistency_error_exits_five(capsys, monkeypatch, cold_caches):
+    # ask the generator selection for one generator more than exists
+    select = resolution._select_outside_span
+    monkeypatch.setattr(
+        resolution, "_select_outside_span",
+        lambda base, pivots, cand, p, want: select(base, pivots, cand, p, want + 1))
+    for argv in (["homology", "--group", "catalog:8.3", "--max-degree", "2"],
+                 ["classify", "--catalog", "bundled8", "--series", "L",
+                  "--max-degree", "2"]):
+        code, out, err = run(capsys, argv)
+        assert code == 5 and out == ""
+        assert err.startswith("internal consistency error:")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_matrix_stdout_matches_library(capsys):

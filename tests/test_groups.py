@@ -1,5 +1,7 @@
 """Group arithmetic, series and quotient chains against the naive oracle."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from pgph import (
     quotient_chain,
     series,
 )
+from pgph.catalog import _bundled_registry
 from pgph.errors import BudgetExceededError
 from oracles import ToyGroup, perm_compose
 
@@ -128,6 +131,50 @@ def test_prime_validation():
 def test_order_cap():
     with pytest.raises(BudgetExceededError):
         group_from_permutations([tuple(range(1, 17)) + (0,)], order_cap=16)
+
+
+def test_order_cap_boundary():
+    assert group_from_permutations(D8, order_cap=16).order == 16
+    with pytest.raises(BudgetExceededError):
+        group_from_permutations(D8, order_cap=15)
+
+
+def oracle_table(perms):
+    elements, index = bfs_elements(perms)
+    return np.array([[index[perm_compose(a, b)] for b in elements]
+                     for a in elements], dtype=np.int32)
+
+
+def assert_table_matches_oracle(perms):
+    got = group_from_permutations(perms).cayley
+    want = oracle_table(perms)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+REGISTRY = _bundled_registry()
+ORACLE_IDS = [name for name in REGISTRY if int(name.split(".")[0]) <= 128]
+ORACLE_IDS.append("512.c2c4c4c16")
+
+
+@pytest.mark.parametrize("name", ORACLE_IDS)
+def test_closure_table_matches_oracle(name):
+    assert_table_matches_oracle(REGISTRY[name])
+
+
+def test_closure_table_matches_oracle_after_generator_moves():
+    rng = random.Random(20100612)
+    first_of_order = {}
+    for name, perms in REGISTRY.items():
+        if len(perms) > 1 and int(name.split(".")[0]) <= 128:
+            first_of_order.setdefault(name.split(".")[0], perms)
+    assert len(first_of_order) >= 7
+    for perms in first_of_order.values():
+        gens = [tuple(g) for g in perms]
+        rng.shuffle(gens)
+        i, j = rng.sample(range(len(gens)), 2)
+        gens[i] = perm_compose(gens[i], gens[j])        # g_i -> g_i * g_j
+        assert_table_matches_oracle(gens)
 
 
 def test_lower_central_series_dihedral_16():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pgph import linalg
 from oracles import det_exact, kernel_vectors_mod_p, mat_mul_int, rank_mod_p
@@ -200,3 +202,41 @@ def test_large_entry_fallback_exact():
     product = mat_mul_int(mat_mul_int(U, [[big, 1], [0, big]]), V)
     assert product[0][0] == diag[0] and product[1][1] == diag[1]
     assert diag[0] == 1 and diag[1] == big * big
+
+
+def test_unit_pivot_update_does_not_wrap():
+    # one elimination step multiplies 2**39 by 2**39, past int64
+    big = 1 << 39
+    assert linalg.snf_diagonal([[1, big], [big, 1]]) == [1, big * big - 1]
+    assert linalg.snf_diagonal([[1, big], [big, 0]]) == [1, big * big]
+    assert linalg.int_kernel_basis([[1, big], [big, 0]]).shape == (0, 2)
+    assert linalg.int_rank([[1, big], [big, 0]]) == 2
+
+
+def _matrices(bits):
+    # units keep the vectorized elimination busy; wide entries make its
+    # row updates overflow int64 unless they are bounded first
+    entries = st.one_of(st.sampled_from([0, 1, -1]),
+                        st.integers(-(1 << bits), 1 << bits))
+    return st.integers(1, 4).flatmap(
+        lambda m: st.lists(st.lists(entries, min_size=3, max_size=3),
+                           min_size=m, max_size=m))
+
+
+_MATRICES = st.sampled_from([39, 45]).flatmap(_matrices)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_MATRICES)
+def test_snf_diagonal_matches_exact_core(rows):
+    assert linalg.snf_diagonal(rows) == linalg._snf_core(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_MATRICES)
+def test_int_kernel_basis_is_exact(rows):
+    kernel = linalg.int_kernel_basis(rows)
+    nonzero = sum(1 for d in linalg._snf_core(rows) if d)
+    assert len(kernel) == len(rows) - nonzero
+    for vec in kernel.tolist():
+        assert mat_mul_int([vec], rows) == [[0] * len(rows[0])]

@@ -9,10 +9,12 @@ bar code are pinned to their published values.
 import numpy as np
 import pytest
 
+from pgph import resolution
+from pgph.catalog import bundled_order
 from pgph.config import Budgets
 from pgph.errors import BudgetExceededError, DataError
-from pgph.groups import (abelian_invariants, group_from_permutations,
-                         quotient_chain)
+from pgph.groups import (SERIES_KINDS, abelian_invariants,
+                         group_from_permutations, quotient_chain)
 from pgph.persistence import (Barcode, PersistenceMatrix, barcode, classify,
                               fingerprint, integral_persistence_matrix,
                               matrix_from_barcode, persistence_matrix,
@@ -301,6 +303,18 @@ def test_classify_partial_on_budget_failure(cold_caches):
     assert report["partial"]
     assert report["classes"] == 1
     assert [f["group"] for f in report["failures"]] == ["big"]
+
+
+def test_classify_same_report_for_any_worker_count(monkeypatch):
+    catalog = {entry.id: entry.group for entry in bundled_order(16)}
+    reports = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(resolution, "_RESOLUTIONS", {})
+        monkeypatch.setattr(resolution, "_CHAIN_MAPS", {})
+        reports[workers] = [classify(catalog, kind, 3, workers=workers)
+                            for kind in SERIES_KINDS]
+    assert reports[1] == reports[2]
+    assert not any(report["partial"] for report in reports[1])
 
 
 def test_persistence_sequence_partial_markers(cold_caches):
