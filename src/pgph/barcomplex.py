@@ -2,17 +2,19 @@
 
 The normalized bar complex of G has basis in degree n the tuples of n
 non-identity elements, and the usual alternating-sum boundary with tuples
-containing the identity dropped.  It is far larger than a minimal
-resolution but needs no clever algebra, which makes it the reference
-implementation mod p, and the only integral machinery in the package:
-H_n(G, Z) and induced maps are read off with Smith normal forms.
+containing the identity dropped.  Far larger than a minimal resolution but
+free of clever algebra, it is the reference mod p and the only integral
+machinery here; sizes grow as (|G|-1)^n, so entry budgets guard it all.
 
-Sizes grow as (|G|-1)^n, so everything here is guarded by entry budgets.
+H_n(G, Z) and induced cokernels come from a p-local Smith form modulo
+p^(v_p(|G|)+1), the p-part of p·|G|, for each prime p dividing |G|.  For
+n >= 1, |G| annihilates H_n(G, Z) and its quotients, so each p-part lies
+below the modulus and is read exactly.  Those groups are finite, so a
+nonzero free rank in degree >= 1 means a failed bound: ConsistencyError.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -20,24 +22,12 @@ import numpy as np
 
 from pgph import linalg
 from pgph.config import Budgets, default_budgets
+from pgph.errors import ConsistencyError
 from pgph.groups import FiniteGroup, GroupHom
+from pgph.resolution import _digest
 
 _BOUNDARIES: dict[tuple, np.ndarray] = {}
 _INTEGRAL: dict[tuple, "IntegralHomology"] = {}
-
-# For a p-group, every torsion coefficient in sight is a power of p, so the
-# rank of these integer matrices over the rationals equals their rank modulo
-# any other prime.  A fixed large prime turns exact rank computations into
-# fast dense eliminations.
-_RANK_PRIME = 1_000_003
-
-
-def _rational_rank(matrix: np.ndarray) -> int:
-    return linalg.rank(np.asarray(matrix, dtype=np.int64) % _RANK_PRIME, _RANK_PRIME)
-
-
-def _digest(group: FiniteGroup) -> bytes:
-    return hashlib.sha1(group.cayley.tobytes()).digest()
 
 
 def _tuple_count(order: int, n: int) -> int:
@@ -122,13 +112,26 @@ class IntegralHomology:
     boundary_rows: np.ndarray = field(repr=False)
 
 
+def _cokernel_invariants(matrix: np.ndarray, group: FiniteGroup,
+                         cycles: np.ndarray, n: int) -> list[int]:
+    """Invariants of the cycle lattice modulo the row span of `matrix`."""
+    diag, rest = [1] * min(matrix.shape), group.order
+    for p in range(2, group.order + 1):
+        e = 1
+        while rest % p == 0:
+            rest, e = rest // p, e + 1
+        if e > 1:
+            diag = [d * t for d, t in zip(diag, linalg.snf_p_local(matrix, p, e))]
+    free = len(cycles) - sum(1 for d in diag if d)
+    if n >= 1 and free:
+        raise ConsistencyError(f"H_{n} of order {group.order} reads free rank {free}")
+    return [d for d in diag if d > 1] + [0] * free
+
+
 def integral_homology(group: FiniteGroup, n: int,
                       budgets: Budgets | None = None) -> IntegralHomology:
-    """H_n(G, Z) from the integral bar complex.
-
-    The cycle lattice is saturated, so the torsion of the quotient by the
-    boundaries is read off the Smith normal form of d_{n+1} alone.
-    """
+    """H_n(G, Z) from the integral bar complex.  The cycle lattice is
+    saturated, so its quotient by the boundaries is read off d_{n+1} alone."""
     # Budgets bound what a fresh computation would cost, so they are
     # enforced before the result cache: refusals do not depend on history.
     _check_boundary_budget(group, n, budgets, integral=True)
@@ -137,13 +140,10 @@ def integral_homology(group: FiniteGroup, n: int,
     cached = _INTEGRAL.get(key)
     if cached is not None:
         return cached
-    lower = bar_boundary(group, n, budgets, integral=True)
+    cycles = linalg.int_kernel_basis(bar_boundary(group, n, budgets, integral=True))
     upper = bar_boundary(group, n + 1, budgets, integral=True)
-    cycles = linalg.int_kernel_basis(lower)
-    torsion = [d for d in linalg.snf_diagonal(upper) if d > 1]
-    free = len(cycles) - _rational_rank(upper)
-    result = IntegralHomology(group, n, torsion + [0] * free, cycles, upper)
-    _INTEGRAL[key] = result
+    invariants = _cokernel_invariants(upper, group, cycles, n)
+    result = _INTEGRAL[key] = IntegralHomology(group, n, invariants, cycles, upper)
     return result
 
 
@@ -170,6 +170,5 @@ def integral_induced_triple(hom: GroupHom, n: int,
     pushed = _push_cycles(src.cycle_basis, hom.mapping,
                           hom.source.order, hom.target.order, n)
     stacked = np.vstack([tgt.boundary_rows.astype(np.int64), pushed])
-    torsion = [d for d in linalg.snf_diagonal(stacked) if d > 1]
-    free = len(tgt.cycle_basis) - _rational_rank(stacked)
-    return list(src.invariants), list(tgt.invariants), torsion + [0] * free
+    return (list(src.invariants), list(tgt.invariants),
+            _cokernel_invariants(stacked, hom.target, tgt.cycle_basis, n))

@@ -25,6 +25,7 @@ __all__ = [
     "row_reduce",
     "smith_normal_form",
     "snf_diagonal",
+    "snf_p_local",
     "solve",
 ]
 
@@ -325,6 +326,62 @@ def snf_diagonal(a) -> list[int]:
     core = _snf_core([[int(v) for v in row] for row in M]) if M.size else []
     diag = [1] * ones + core
     return diag
+
+
+def snf_p_local(a, p: int, e: int) -> list[int]:
+    """Smith diagonal over Z localized at p, read modulo p^e.
+
+    Each invariant d of `a` becomes p^v_p(d) when v_p(d) < e and 0
+    otherwise, in the divisibility-chain order of `snf_diagonal`.  Phase v
+    eliminates with pivots that are units mod p, working modulo p^(e-v),
+    then divides what is left by p.  Row operations suffice: once a pivot
+    has cleared its column, its row is dropped.  Only the pivot row and
+    column are reduced per step; the block is reduced when a row update
+    could reach 2^62.
+    """
+    arr = np.asarray(a)
+    if arr.size == 0:
+        return []
+    if arr.ndim != 2:
+        raise ValueError(f"expected a 2-d matrix, got shape {arr.shape}")
+    if arr.shape[0] > arr.shape[1]:
+        arr = arr.T
+    q = p ** e
+    dtype = np.int64 if (q - 1) ** 2 + q < _INT64_SAFE else object
+    M = (arr if arr.dtype == object else arr.astype(np.int64)) % q
+    M = M.astype(dtype, order="C")  # row updates run along contiguous rows
+    diag: list[int] = []
+    for v in range(e):
+        mod = q // p ** v
+        step = (mod - 1) ** 2
+        bound = mod - 1
+        k = M.shape[0]
+        # a column with no unit now never gets one: every update adds a
+        # multiple of an active row, whose entry there is divisible by p
+        for c in np.flatnonzero((M % p).any(axis=0)):
+            if k == 0:
+                break
+            col = M[:k, c] % mod
+            units = np.flatnonzero(col % p)
+            if units.size == 0:
+                continue
+            r = int(units[0])
+            row = (M[r] % mod) * pow(int(col[r]), -1, mod) % mod
+            k -= 1  # the last active row takes the pivot row's slot
+            M[r], col[r] = M[k], col[k]
+            hits = np.flatnonzero(col[:k])
+            if hits.size:
+                if bound + step >= _INT64_SAFE:
+                    M[:k] %= mod
+                    bound = mod - 1
+                M[hits] -= np.outer(col[hits], row)
+                bound += step
+        diag += [p ** v] * (M.shape[0] - k)
+        M = M[:k] % mod // p
+        M = M[np.ix_(M.any(axis=1), M.any(axis=0))]
+        if M.size == 0:
+            break
+    return diag + [0] * (min(arr.shape) - len(diag))
 
 
 def smith_normal_form(a):

@@ -328,6 +328,7 @@ def classify(catalog, functor: str, max_degree: int,
     max_workers = workers or min(len(pairs), os.cpu_count() or 1)
     serials: dict[str, tuple[str, ...]] = {}
     failures: list[dict] = []
+    errors: list[PgphError] = []
 
     def collect(name, run):
         try:
@@ -336,6 +337,7 @@ def classify(catalog, functor: str, max_degree: int,
             raise  # a defect, not a group this run could not finish
         except PgphError as exc:
             failures.append({"group": name, "error": str(exc)})
+            errors.append(exc)
 
     if max_workers == 1:
         # inline, so profilers and tracers see the work on this thread
@@ -348,7 +350,9 @@ def classify(catalog, functor: str, max_degree: int,
 
     names = [name for name, _ in pairs if name in serials]
     if not names:
-        raise DataError("no catalog group finished within budget")
+        # nothing to report: raise the first group's own cause, typed as it was
+        errors[0].args = (f"{failures[0]['group']}: {errors[0]}",)
+        raise errors[0]
 
     parts = [_partition(names, lambda _: ())]
     for d in range(1, max_degree + 1):

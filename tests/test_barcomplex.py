@@ -11,10 +11,12 @@ from pgph import (
     integral_induced_triple,
     quotient,
 )
-from pgph.config import Budgets
-from pgph.errors import BudgetExceededError
-from pgph.groups import GroupHom
+from pgph import barcomplex, linalg
 from pgph.barcomplex import bar_boundary
+from pgph.catalog import bundled_catalog, bundled_order
+from pgph.config import Budgets
+from pgph.errors import BudgetExceededError, ConsistencyError
+from pgph.groups import GroupHom
 
 C2 = [(1, 0)]
 C4 = [(1, 2, 3, 0)]
@@ -22,6 +24,7 @@ V4 = [(1, 0, 2, 3), (0, 1, 3, 2)]
 D4 = [(1, 2, 3, 0), (0, 3, 2, 1)]
 Q8 = [(1, 2, 3, 0, 7, 4, 5, 6), (4, 5, 6, 7, 2, 3, 0, 1)]
 C3 = [(1, 2, 0)]
+S3 = [(1, 0, 2), (1, 2, 0)]
 
 
 def test_bar_boundary_squares_to_zero():
@@ -74,18 +77,34 @@ def test_integral_homology_quaternion():
     assert integral_homology(q8, 3).invariants == [8]     # periodic, order |G|
 
 
+def test_integral_homology_beyond_p_groups():
+    s3 = group_from_permutations(S3)
+    assert [integral_homology(s3, n).invariants for n in range(4)] == [[0], [2], [], [6]]
+
+
 def test_universal_coefficients_consistency():
     # dim H_n(F_p) = (p-divisible part of H_n) + (p-torsion of H_{n-1})
-    for perms, p in ((C4, 2), (V4, 2), (D4, 2), (Q8, 2), (C3, 3)):
-        g = group_from_permutations(perms)
-        dims = homology_dims(g, 3)
-        integral = [integral_homology(g, n).invariants for n in range(4)]
-        for n in range(4):
+    cases = [(e.id, e.group, 3) for e in bundled_catalog() if 1 < e.order <= 8]
+    cases += [(e.id, e.group, 2) for e in bundled_order(16)]
+    for name, g, top in cases:
+        p = g.prime
+        dims = homology_dims(g, top)
+        integral = [integral_homology(g, n).invariants for n in range(top + 1)]
+        for n in range(top + 1):
             tensor = sum(1 for d in integral[n] if d == 0 or d % p == 0)
             tor = 0
             if n > 0:
                 tor = sum(1 for d in integral[n - 1] if d != 0 and d % p == 0)
-            assert dims[n] == tensor + tor, (perms, n)
+            assert dims[n] == tensor + tor, (name, n)
+
+
+def test_exponent_too_small_raises(monkeypatch):
+    # modulo 2 alone the invariant 8 of H_3(Q8) reads as free rank
+    local = linalg.snf_p_local
+    monkeypatch.setattr(linalg, "snf_p_local", lambda a, p, e: local(a, p, 1))
+    monkeypatch.setattr(barcomplex, "_INTEGRAL", {})
+    with pytest.raises(ConsistencyError, match="free rank 1"):
+        integral_homology(group_from_permutations(Q8), 3)
 
 
 def test_triple_identity_and_cyclic_surjection():

@@ -49,6 +49,17 @@ def test_budget_exhaustion_exits_three(capsys, monkeypatch, cold_caches):
     assert "budget" in err
 
 
+def test_classify_all_refused_exits_three(capsys, monkeypatch):
+    # every group is refused, so the report gives way to the first refusal
+    monkeypatch.setenv("PGPH_BUDGET", "int=100")
+    code, out, err = run(capsys, ["classify", "--catalog", "bundled8",
+                                  "--series", "Zp", "--max-degree", "3",
+                                  "--integral"])
+    assert code == 3 and out == ""
+    assert err.startswith("budget exceeded: 8.1: bar boundary")
+    assert "Traceback" not in err
+
+
 def test_consistency_error_exits_five(capsys, monkeypatch, cold_caches):
     # ask the generator selection for one generator more than exists
     select = resolution._select_outside_span

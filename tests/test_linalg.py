@@ -240,3 +240,35 @@ def test_int_kernel_basis_is_exact(rows):
     assert len(kernel) == len(rows) - nonzero
     for vec in kernel.tolist():
         assert mat_mul_int([vec], rows) == [[0] * len(rows[0])]
+
+
+def _p_parts(diag, p, e):
+    """Map a Smith diagonal to its p-local parts read modulo p^e."""
+    out = []
+    for d in diag:
+        v = 0
+        while d and d % p == 0:
+            d, v = d // p, v + 1
+        out.append(p ** v if d and v < e else 0)
+    return out
+
+
+_SMALL_MATRICES = st.tuples(st.integers(0, 7), st.integers(0, 7)).flatmap(
+    lambda shape: st.lists(
+        st.lists(st.integers(-60, 60), min_size=shape[1], max_size=shape[1]),
+        min_size=shape[0], max_size=shape[0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SMALL_MATRICES, st.sampled_from([2, 3, 5]), st.integers(1, 5))
+def test_snf_p_local_matches_exact_core(rows, p, e):
+    assert linalg.snf_p_local(rows, p, e) == _p_parts(linalg._snf_core(rows), p, e)
+
+
+def test_snf_p_local_hand_values():
+    assert linalg.snf_p_local([[2, 0], [0, 12]], 2, 3) == [2, 4]
+    assert linalg.snf_p_local([[2, 0], [0, 12]], 3, 2) == [1, 3]
+    assert linalg.snf_p_local([[8, 0, 0], [0, 3, 0]], 2, 3) == [1, 0]
+    assert linalg.snf_p_local(np.zeros((3, 0), dtype=np.int8), 2, 2) == []
+    big = 1 << 70  # beyond int64 on input, and a modulus beyond it too
+    assert linalg.snf_p_local([[big, 1], [0, 6]], 2, 80) == [1, 2 ** 71]

@@ -305,6 +305,17 @@ def test_classify_partial_on_budget_failure(cold_caches):
     assert [f["group"] for f in report["failures"]] == ["big"]
 
 
+def test_classify_all_failed_raises_first_groups_own_error(cold_caches):
+    s3 = group_from_permutations([(1, 0, 2), (1, 2, 0)])
+    with pytest.raises(DataError, match="^s3: .*not a prime power"):
+        classify({"s3": s3, "s3 again": s3}, "L", 1, workers=2)
+    catalog = {"small": group_from_permutations(C4),
+               "big": group_from_permutations(C8)}
+    with pytest.raises(BudgetExceededError, match="^small: bar boundary"):
+        classify(catalog, "Zp", 1, integral=True,
+                 budgets=Budgets(fp_entries=10**6, int_entries=5))
+
+
 def test_classify_same_report_for_any_worker_count(monkeypatch):
     catalog = {entry.id: entry.group for entry in bundled_order(16)}
     reports = {}
