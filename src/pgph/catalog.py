@@ -28,8 +28,7 @@ from dataclasses import dataclass, field
 
 from pgph.coclass import family_permutations
 from pgph.errors import DataError
-from pgph.groups import (FiniteGroup, abelianization_invariants,
-                         group_from_permutations)
+from pgph.groups import FiniteGroup, group_from_permutations
 
 PROVENANCE_BUNDLED = "bundled"
 PROVENANCE_INGESTED = "ingested"
@@ -66,11 +65,6 @@ def _direct_sum(left: list[list[int]], right: list[list[int]]) -> list[list[int]
     return out
 
 
-def _dihedral_perms(points: int) -> list[list[int]]:
-    return [[(i + 1) % points for i in range(points)],
-            [(-i) % points for i in range(points)]]
-
-
 def _mod_affine_perms(modulus: int, mult: int) -> list[list[int]]:
     """i -> i + 1 and i -> mult * i on Z/modulus."""
     return [[(i + 1) % modulus for i in range(modulus)],
@@ -104,10 +98,6 @@ _PAULI = [
 ]
 
 
-def _quaternion16_perms() -> list[list[int]]:
-    return family_permutations("quaternion", 4)
-
-
 def _bundled_registry() -> dict[str, list[list[int]]]:
     reg: dict[str, list[list[int]]] = {}
     reg["1.1"] = [[0]]
@@ -117,7 +107,7 @@ def _bundled_registry() -> dict[str, list[list[int]]]:
     reg["4.2"] = _abelian_perms([2, 2])
     reg["8.1"] = [_cycle(8)]
     reg["8.2"] = _abelian_perms([4, 2])
-    reg["8.3"] = _dihedral_perms(4)
+    reg["8.3"] = family_permutations("dihedral", 3)
     reg["8.4"] = _Q8
     reg["8.5"] = _abelian_perms([2, 2, 2])
     reg["9.1"] = [_cycle(9)]
@@ -128,11 +118,12 @@ def _bundled_registry() -> dict[str, list[list[int]]]:
     reg["16.4"] = _C4_SEMI_C4
     reg["16.5"] = _abelian_perms([8, 2])
     reg["16.6"] = _mod_affine_perms(8, 5)
-    reg["16.7"] = _dihedral_perms(8)
+    reg["16.7"] = family_permutations("dihedral", 4)
     reg["16.8"] = _mod_affine_perms(8, 3)
-    reg["16.9"] = _quaternion16_perms()
+    reg["16.9"] = family_permutations("quaternion", 4)
     reg["16.10"] = _abelian_perms([4, 2, 2])
-    reg["16.11"] = _direct_sum(_dihedral_perms(4), _abelian_perms([2]))
+    reg["16.11"] = _direct_sum(family_permutations("dihedral", 3),
+                               _abelian_perms([2]))
     reg["16.12"] = _direct_sum(_Q8, _abelian_perms([2]))
     reg["16.13"] = _PAULI
     reg["16.14"] = _abelian_perms([2, 2, 2, 2])
@@ -180,26 +171,6 @@ def _id_sort_key(name: str):
     return (0, order, 1, index_part)
 
 
-def _entry_signature(group: FiniteGroup):
-    return (group.order,
-            tuple(sorted(group.order_histogram().items())),
-            tuple(abelianization_invariants(group)),
-            len(group.center_elements()),
-            len(group.commutator_subgroup()))
-
-
-def _check_distinct(entries) -> None:
-    """Entries of equal order must differ in a cheap invariant signature."""
-    by_sig: dict = {}
-    for entry in entries:
-        sig = _entry_signature(entry.group)
-        other = by_sig.get(sig)
-        if other is not None:
-            raise DataError(f"catalog entries {other} and {entry.id} share "
-                            f"all invariants: not pairwise distinct")
-        by_sig[sig] = entry.id
-
-
 _BUNDLED: tuple[CatalogEntry, ...] | None = None
 _BUNDLED_LOCK = threading.Lock()
 
@@ -223,7 +194,6 @@ def bundled_catalog() -> tuple[CatalogEntry, ...]:
                     provenance=PROVENANCE_BUNDLED,
                 ))
             entries.sort(key=lambda e: _id_sort_key(e.id))
-            _check_distinct(entries)
             _BUNDLED = tuple(entries)
     return _BUNDLED
 

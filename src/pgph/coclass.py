@@ -152,6 +152,23 @@ def _last_lower_central(group: FiniteGroup):
     return terms[-2]
 
 
+def _tree_edge(kind: str, source: FiniteGroup, level: int) -> GroupHom:
+    """The quotient of a level-(level + 1) group by its last nontrivial
+    lower-central term, certified to be an order-2 kernel onto a copy of
+    the dihedral group of order 2^level."""
+    kernel = _last_lower_central(source)
+    if kernel.order != 2:
+        raise DataError(f"{kind} level {level + 1}: last lower-central term "
+                        f"has order {kernel.order}, expected 2")
+    quot, proj = quotient(source, kernel)
+    reference = family("dihedral", level)
+    if _invariant_signature(quot) != _invariant_signature(reference):
+        raise DataError(f"no tree edge: the quotient of the level-{level + 1} "
+                        f"{kind} group does not match the dihedral group of "
+                        f"order {2 ** level}")
+    return proj
+
+
 def tree_links(kind: str, level: int) -> GroupHom:
     """The tree edge from level ``level + 1`` of a family down to level ``level``.
 
@@ -168,41 +185,21 @@ def tree_links(kind: str, level: int) -> GroupHom:
         raise DataError(f"unknown family kind {kind!r}")
     if not isinstance(level, int) or level < 3:
         raise DataError(f"tree links exist from level 3 up, got {level!r}")
-    source = family(kind, level + 1)
-    kernel = _last_lower_central(source)
-    if kernel.order != 2:
-        raise DataError(f"{kind} level {level + 1}: last lower-central term "
-                        f"has order {kernel.order}, expected 2")
-    quot, proj = quotient(source, kernel)
-    reference = family("dihedral", level)
-    if _invariant_signature(quot) != _invariant_signature(reference):
-        raise DataError(f"no tree edge: the quotient of the level-{level + 1} "
-                        f"{kind} group does not match the dihedral group of "
-                        f"order {2 ** level}")
-    return proj
+    return _tree_edge(kind, family(kind, level + 1), level)
 
 
 def _tower(kind: str, l_min: int, l_max: int):
     """Groups and connecting surjections for levels l_min..l_max.
 
     Built top down by iterated quotients, so consecutive links literally
-    compose; each constructed level is re-certified (order 2^l, class
-    l - 1, kernel of order 2) rather than trusted.
+    compose; each link is certified like a ``tree_links`` edge rather than
+    trusted.
     """
     groups = {l_max: family(kind, l_max)}
     links: dict[int, GroupHom] = {}
     for lvl in range(l_max - 1, l_min - 1, -1):
-        src = groups[lvl + 1]
-        kernel = _last_lower_central(src)
-        if kernel.order != 2:
-            raise DataError(f"level {lvl + 1}: lower-central kernel order "
-                            f"{kernel.order}, expected 2")
-        quot, proj = quotient(src, kernel)
-        if quot.order != 2 ** lvl or _nilpotency_class(quot) != lvl - 1:
-            raise DataError(f"level {lvl}: quotient is not the coclass-one "
-                            f"group of order {2 ** lvl}")
-        groups[lvl] = quot
-        links[lvl] = proj
+        links[lvl] = _tree_edge(kind, groups[lvl + 1], lvl)
+        groups[lvl] = links[lvl].target
     return groups, links
 
 

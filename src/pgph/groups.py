@@ -465,8 +465,7 @@ def group_from_permutations(perms: Sequence[Sequence[int]],
     return FiniteGroup(np.ascontiguousarray(columns.T), validate=False)
 
 
-def min_generators(group: FiniteGroup) -> list[int]:
-    return group.minimal_generators()
+min_generators = FiniteGroup.minimal_generators
 
 
 def abelian_invariants(group: FiniteGroup) -> list[int]:

@@ -16,14 +16,10 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "abelian_invariants_of_cokernel",
-    "fp_matmul",
     "int_kernel_basis",
-    "int_rank",
     "kernel_basis",
     "rank",
     "row_reduce",
-    "smith_normal_form",
     "snf_diagonal",
     "snf_p_local",
     "solve",
@@ -42,15 +38,6 @@ def _as_fp(a, p: int) -> np.ndarray:
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {arr.shape}")
     return arr % p
-
-
-def fp_matmul(a, b, p: int) -> np.ndarray:
-    """Product of mod-p matrices (row-vector convention: acts left to right)."""
-    a = _as_fp(a, p)
-    b = _as_fp(b, p)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"shape mismatch: {a.shape} @ {b.shape}")
-    return (a @ b) % p
 
 
 # ---------------------------------------------------------------------------
@@ -213,16 +200,18 @@ def solve(a, b, p: int):
 
 
 def _to_int_rows(a) -> list[list[int]]:
-    if isinstance(a, np.ndarray):
-        if a.ndim != 2:
-            raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
-        return [[int(v) for v in row] for row in a]
+    if isinstance(a, np.ndarray) and a.ndim != 2:
+        raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
     return [[int(v) for v in row] for row in a]
 
 
-def _snf_core(rows: list[list[int]]) -> list[int]:
-    """Smith diagonal of a small integer matrix, no transforms, exact."""
-    M = [row[:] for row in rows]
+def snf_diagonal(a) -> list[int]:
+    """Smith normal form diagonal (no transforms), divisibility chain order.
+
+    Exact on Python ints and meant for small matrices; integral invariants
+    are read with `snf_p_local`, which the tests check against this.
+    """
+    M = _to_int_rows(a)
     m = len(M)
     n = len(M[0]) if m else 0
     diag = []
@@ -292,42 +281,6 @@ def _update_fits(scale, row, target_max: int) -> bool:
     return bound < _INT64_SAFE
 
 
-def snf_diagonal(a) -> list[int]:
-    """Smith normal form diagonal (no transforms), divisibility chain order.
-
-    Unit pivots are eliminated in a vectorized numpy phase first; the
-    leftover core, if any, goes through exact Python-int reduction.  Falls
-    back to the exact path for the rest as soon as an update could
-    overflow int64.
-    """
-    rows = _to_int_rows(a)
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    if m == 0 or n == 0:
-        return []
-    if max((max(map(abs, r), default=0) for r in rows), default=0) >= _INT64_GUARD:
-        return _snf_core(rows)
-    M = np.array(rows, dtype=np.int64)
-    ones = 0
-    while M.size:
-        units = np.argwhere(np.abs(M) == 1)
-        if units.size == 0:
-            break
-        i, j = (int(v) for v in units[0])
-        s = int(M[i, j])
-        col = M[:, j].copy()
-        col[i] = 0
-        if np.any(col):
-            if not _update_fits(col, M[i], int(np.abs(M).max())):
-                return [1] * ones + _snf_core(M.tolist())
-            M = M - np.outer(col * s, M[i])
-        M = np.delete(np.delete(M, i, axis=0), j, axis=1)
-        ones += 1
-    core = _snf_core([[int(v) for v in row] for row in M]) if M.size else []
-    diag = [1] * ones + core
-    return diag
-
-
 def snf_p_local(a, p: int, e: int) -> list[int]:
     """Smith diagonal over Z localized at p, read modulo p^e.
 
@@ -382,94 +335,6 @@ def snf_p_local(a, p: int, e: int) -> list[int]:
         if M.size == 0:
             break
     return diag + [0] * (min(arr.shape) - len(diag))
-
-
-def smith_normal_form(a):
-    """Full Smith normal form; returns (diagonal, U, V) with U @ a @ V diagonal.
-
-    U and V are unimodular, the diagonal is nonnegative and forms a
-    divisibility chain.  Exact at any size, intended for moderate matrices;
-    use snf_diagonal when the transforms are not needed.
-    """
-    A = _to_int_rows(a)
-    m = len(A)
-    n = len(A[0]) if m else 0
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
-    V = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        A[i] = [x - q * y for x, y in zip(A[i], A[j])]
-        U[i] = [x - q * y for x, y in zip(U[i], U[j])]
-
-    def col_op(j, i, q):  # col_j -= q * col_i
-        for row in A:
-            row[j] -= q * row[i]
-        for row in V:
-            row[j] -= q * row[i]
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    k = 0
-    while k < m and k < n:
-        best = None
-        for i in range(k, m):
-            for j in range(k, n):
-                v = A[i][j]
-                if v and (best is None or abs(v) < abs(best[0])):
-                    best = (v, i, j)
-        if best is None:
-            break
-        _, bi, bj = best
-        if bi != k:
-            swap_rows(k, bi)
-        if bj != k:
-            swap_cols(k, bj)
-        while True:
-            dirty = False
-            for i in range(k + 1, m):
-                if A[i][k]:
-                    q = A[i][k] // A[k][k]
-                    if q:
-                        row_op(i, k, q)
-                    if A[i][k]:
-                        swap_rows(k, i)
-                        dirty = True
-            if dirty:
-                continue
-            for j in range(k + 1, n):
-                if A[k][j]:
-                    q = A[k][j] // A[k][k]
-                    if q:
-                        col_op(j, k, q)
-                    if A[k][j]:
-                        swap_cols(k, j)
-                        dirty = True
-            if not dirty and all(A[i][k] == 0 for i in range(k + 1, m)):
-                break
-        pivot = A[k][k]
-        culprit = None
-        for i in range(k + 1, m):
-            if any(A[i][j] % pivot for j in range(k + 1, n)):
-                culprit = i
-                break
-        if culprit is not None:
-            A[k] = [x + y for x, y in zip(A[k], A[culprit])]
-            U[k] = [x + y for x, y in zip(U[k], U[culprit])]
-            continue
-        if pivot < 0:
-            A[k] = [-x for x in A[k]]
-            U[k] = [-x for x in U[k]]
-        k += 1
-    diag = [A[i][i] for i in range(min(m, n))]
-    return diag, U, V
 
 
 def _int_kernel_slow(A: list[list[int]], m: int, n: int) -> list[list[int]]:
@@ -546,28 +411,3 @@ def int_kernel_basis(a) -> np.ndarray:
             return exact()
     return M[r:, n:]
 
-
-def int_rank(a) -> int:
-    """Rank of an integer matrix (over the rationals)."""
-    A = _to_int_rows(a)
-    m = len(A)
-    if m == 0:
-        return 0
-    return m - len(int_kernel_basis(A))
-
-
-def abelian_invariants_of_cokernel(rows, ambient_rank: int) -> list[int]:
-    """Invariant factors of Z^ambient_rank / (row lattice of `rows`).
-
-    Returns the nontrivial invariant factors (> 1, ascending divisibility)
-    followed by one 0 per free rank.
-    """
-    rows = _to_int_rows(rows)
-    if ambient_rank < 0:
-        raise ValueError("ambient rank must be nonnegative")
-    if rows and any(len(r) != ambient_rank for r in rows):
-        raise ValueError("relation rows must have ambient_rank columns")
-    diag = snf_diagonal(rows) if rows else []
-    nonzero = [d for d in diag if d != 0]
-    free = ambient_rank - len(nonzero)
-    return [d for d in nonzero if d > 1] + [0] * free

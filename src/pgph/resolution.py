@@ -86,18 +86,18 @@ class MinimalResolution:
     images of the level-n free generators as rows in F_p^{b_{n-1} |G|}.
     """
 
-    def __init__(self, group: FiniteGroup, prime: int, budgets: Budgets):
+    def __init__(self, group: FiniteGroup, prime: int):
         self.group = group
         self.prime = prime
-        self.budgets = budgets
         self.ranks = [1]
         self.gen_images: list[np.ndarray | None] = [None]
         self._diffs: dict[int, np.ndarray] = {}
         self._lock = threading.RLock()
 
-    def differential(self, n: int) -> np.ndarray:
+    def differential(self, n: int, budgets: Budgets | None = None) -> np.ndarray:
         """The full F_p matrix of d_n, rows indexed by (generator, g)."""
-        self.extend_to(n)
+        budgets = budgets or default_budgets()
+        self.extend_to(n, budgets)
         if n == 0:
             return np.ones((self.group.order, 1), dtype=np.int64)
         with self._lock:
@@ -105,18 +105,18 @@ class MinimalResolution:
                 gens = self.gen_images[n]
                 size = self.group.order
                 rows = np.zeros((self.ranks[n] * size, gens.shape[1]), dtype=np.int64)
-                self.budgets.check_fp("resolution differential", rows.size)
+                budgets.check_fp("resolution differential", rows.size)
                 for g in range(size):
                     rows[g::size] = _act_rows(self.group, gens, g)
                 # row (i, g) sits at i * size + g
                 self._diffs[n] = rows
             return self._diffs[n]
 
-    def _extend_locked(self, degree: int) -> None:
+    def _extend_locked(self, degree: int, budgets: Budgets) -> None:
         p, size = self.prime, self.group.order
         while len(self.ranks) <= degree:
             n = len(self.ranks) - 1
-            kernel = linalg.kernel_basis(self.differential(n), p)
+            kernel = linalg.kernel_basis(self.differential(n, budgets), p)
             if len(kernel) == 0:
                 # gen_images first: unlocked readers treat len(ranks) as the
                 # high-water mark of completed levels
@@ -127,7 +127,7 @@ class MinimalResolution:
             radical_rows = np.vstack([
                 (_act_rows(self.group, kernel, g) - kernel) % p for g in gens
             ]) if gens else np.zeros((0, kernel.shape[1]), dtype=np.int64)
-            self.budgets.check_fp("resolution radical", radical_rows.size)
+            budgets.check_fp("resolution radical", radical_rows.size)
             reduced, pivots = linalg.row_reduce(radical_rows, p)
             reduced = reduced[: len(pivots)]
             b_next = len(kernel) - len(pivots)
@@ -135,11 +135,11 @@ class MinimalResolution:
             self.gen_images.append(kernel[picks])
             self.ranks.append(b_next)
 
-    def extend_to(self, degree: int) -> None:
+    def extend_to(self, degree: int, budgets: Budgets | None = None) -> None:
         if len(self.ranks) > degree:
             return
         with self._lock:
-            self._extend_locked(degree)
+            self._extend_locked(degree, budgets or default_budgets())
 
 
 def minimal_resolution(group: FiniteGroup, degree: int,
@@ -151,18 +151,15 @@ def minimal_resolution(group: FiniteGroup, degree: int,
         p = 2 if group.order == 1 else group.prime
     else:
         p = prime
-    # None always means the current defaults, so a cached resolution never
-    # stays pinned to the budget of an earlier explicit call
-    effective = budgets or default_budgets()
     key = (_digest(group), p)
     with _CACHE_LOCK:
         res = _RESOLUTIONS.get(key)
         if res is None:
-            res = MinimalResolution(group, p, effective)
+            res = MinimalResolution(group, p)
             _RESOLUTIONS[key] = res
-        else:
-            res.budgets = effective
-    res.extend_to(degree)
+    # budgets go with the call, not the shared object, so a caller never
+    # changes the limits of an extension already in flight
+    res.extend_to(degree, budgets)
     return res
 
 
@@ -191,34 +188,35 @@ class _ChainMap:
         self.levels = [start]
         self._lock = threading.RLock()
 
-    def _full_matrix(self, n: int) -> np.ndarray:
+    def _full_matrix(self, n: int, budgets: Budgets) -> np.ndarray:
         """f_n on all of A_G^{b_n}, rows indexed by (generator, g)."""
         src, dst = self.source.group, self.target.group
         x = self.levels[n]
         rows = np.zeros((self.source.ranks[n] * src.order, x.shape[1]), dtype=np.int64)
-        self.source.budgets.check_fp("chain map matrix", rows.size)
+        budgets.check_fp("chain map matrix", rows.size)
         mapping = self.hom.mapping
         for g in range(src.order):
             rows[g::src.order] = _act_rows(dst, x, int(mapping[g]))
         return rows
 
-    def extend_to(self, degree: int) -> None:
+    def extend_to(self, degree: int, budgets: Budgets) -> None:
         if len(self.levels) > degree:
             return
         p = self.source.prime
-        self.source.extend_to(degree)
-        self.target.extend_to(degree)
+        self.source.extend_to(degree, budgets)
+        self.target.extend_to(degree, budgets)
         with self._lock:
             while len(self.levels) <= degree:
                 n = len(self.levels)
-                previous = self._full_matrix(n - 1)
+                previous = self._full_matrix(n - 1, budgets)
                 targets = self.source.gen_images[n] @ previous % p
-                solved = linalg.solve(self.target.differential(n), targets, p)
+                solved = linalg.solve(self.target.differential(n, budgets),
+                                      targets, p)
                 self.levels.append(solved)
 
-    def homology_matrix(self, n: int) -> np.ndarray:
+    def homology_matrix(self, n: int, budgets: Budgets) -> np.ndarray:
         """Induced H_n(source) -> H_n(target) on free generator bases."""
-        self.extend_to(n)
+        self.extend_to(n, budgets)
         x = self.levels[n]
         if self.source.ranks[n] == 0 or self.target.ranks[n] == 0:
             return np.zeros((self.source.ranks[n], self.target.ranks[n]), dtype=np.int64)
@@ -226,7 +224,7 @@ class _ChainMap:
         return x.reshape(len(x), self.target.ranks[n], size).sum(axis=2) % self.source.prime
 
 
-def _chain_map(hom: GroupHom, budgets: Budgets | None) -> _ChainMap:
+def _chain_map(hom: GroupHom, budgets: Budgets) -> _ChainMap:
     p = hom.source.prime
     key = (_digest(hom.source), _digest(hom.target), hom.mapping.tobytes(), p)
     source = minimal_resolution(hom.source, 0, budgets=budgets)
@@ -245,4 +243,5 @@ def induced_map(hom: GroupHom, n: int, budgets: Budgets | None = None) -> np.nda
     Functorial: the matrix of a composite is the product of the matrices in
     composition order, acting on row vectors.
     """
-    return _chain_map(hom, budgets).homology_matrix(n)
+    budgets = budgets or default_budgets()
+    return _chain_map(hom, budgets).homology_matrix(n, budgets)

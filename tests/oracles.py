@@ -8,7 +8,8 @@ oracles and the package is meaningful evidence.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
+from math import gcd
 
 
 def span_size_mod_p(rows, p):
@@ -79,6 +80,116 @@ def mat_mul_int(a, b):
         [sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
         for row in a
     ]
+
+
+def smith_diagonal_by_minors(rows):
+    """Smith diagonal from determinantal divisors (exponential; tiny inputs).
+
+    D_k, the gcd of all k x k minors, equals d_1 * ... * d_k, so
+    d_k = D_k / D_(k-1) while D_k is nonzero, and 0 from there on.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    diag = []
+    previous = 1
+    for k in range(1, min(m, n) + 1):
+        divisor = 0
+        for rs in combinations(range(m), k):
+            for cs in combinations(range(n), k):
+                divisor = gcd(divisor, det_exact([[rows[i][j] for j in cs]
+                                                  for i in rs]))
+        if divisor == 0:
+            break
+        diag.append(divisor // previous)
+        previous = divisor
+    return diag + [0] * (min(m, n) - len(diag))
+
+
+def smith_normal_form(a):
+    """Full Smith normal form by row and column operations; (diagonal, U, V).
+
+    U @ a @ V is diagonal, U and V are unimodular, and the diagonal is
+    nonnegative and forms a divisibility chain.  Python ints throughout.
+    """
+    A = [[int(x) for x in row] for row in a]
+    m = len(A)
+    n = len(A[0]) if m else 0
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def row_op(i, j, q):  # row_i -= q * row_j
+        A[i] = [x - q * y for x, y in zip(A[i], A[j])]
+        U[i] = [x - q * y for x, y in zip(U[i], U[j])]
+
+    def col_op(j, i, q):  # col_j -= q * col_i
+        for row in A:
+            row[j] -= q * row[i]
+        for row in V:
+            row[j] -= q * row[i]
+
+    def swap_rows(i, j):
+        A[i], A[j] = A[j], A[i]
+        U[i], U[j] = U[j], U[i]
+
+    def swap_cols(i, j):
+        for row in A:
+            row[i], row[j] = row[j], row[i]
+        for row in V:
+            row[i], row[j] = row[j], row[i]
+
+    k = 0
+    while k < m and k < n:
+        best = None
+        for i in range(k, m):
+            for j in range(k, n):
+                v = A[i][j]
+                if v and (best is None or abs(v) < abs(best[0])):
+                    best = (v, i, j)
+        if best is None:
+            break
+        _, bi, bj = best
+        if bi != k:
+            swap_rows(k, bi)
+        if bj != k:
+            swap_cols(k, bj)
+        while True:
+            dirty = False
+            for i in range(k + 1, m):
+                if A[i][k]:
+                    q = A[i][k] // A[k][k]
+                    if q:
+                        row_op(i, k, q)
+                    if A[i][k]:
+                        swap_rows(k, i)
+                        dirty = True
+            if dirty:
+                continue
+            for j in range(k + 1, n):
+                if A[k][j]:
+                    q = A[k][j] // A[k][k]
+                    if q:
+                        col_op(j, k, q)
+                    if A[k][j]:
+                        swap_cols(k, j)
+                        dirty = True
+            if not dirty and all(A[i][k] == 0 for i in range(k + 1, m)):
+                break
+        pivot = A[k][k]
+        culprit = None
+        for i in range(k + 1, m):
+            if any(A[i][j] % pivot for j in range(k + 1, n)):
+                culprit = i
+                break
+        if culprit is not None:
+            A[k] = [x + y for x, y in zip(A[k], A[culprit])]
+            U[k] = [x + y for x, y in zip(U[k], U[culprit])]
+            continue
+        if pivot < 0:
+            A[k] = [-x for x in A[k]]
+            U[k] = [-x for x in U[k]]
+        k += 1
+    diag = [A[i][i] for i in range(min(m, n))]
+    return diag, U, V
 
 
 # ---------------------------------------------------------------------------

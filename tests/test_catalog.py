@@ -16,6 +16,7 @@ from pgph.catalog import (
     load_group_file,
     write_catalog,
 )
+from pgph.coclass import _invariant_signature
 from pgph.errors import DataError
 from pgph.groups import abelianization_invariants
 
@@ -35,6 +36,17 @@ def test_bundled_catalog_shape():
     assert [e.id for e in bundled_order(16)] == [f"16.{i}" for i in range(1, 15)]
     assert [e.id for e in bundled_order(27)] == [f"27.{i}" for i in range(1, 6)]
     assert all(e.provenance == "bundled" for e in entries)
+
+
+def test_bundled_entries_pairwise_distinct():
+    # no two entries are isomorphic: each differs from every other in an
+    # invariant signature (order, class, element orders, abelianization,
+    # centre, derived subgroup)
+    seen = {}
+    for entry in bundled_catalog():
+        sig = _invariant_signature(entry.group)
+        assert sig not in seen, (seen.get(sig), entry.id)
+        seen[sig] = entry.id
 
 
 def test_bundled_ids_are_canonically_sorted():

@@ -1,8 +1,12 @@
 """Exit codes, output formats, and determinism of the command line."""
 
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
+import pgph
 from pgph import resolution
 from pgph.catalog import bundled_group, bundled_order, write_catalog
 from pgph.cli import main
@@ -206,3 +210,16 @@ def test_selftest_passes(capsys):
     lines = out.strip().split("\n")
     assert len(lines) == 5
     assert all(line.startswith("ok ") for line in lines)
+
+
+def test_selftest_fails_under_optimized_python():
+    # python -O strips assert statements; the selftest checks must not be
+    script = ("import sys; import pgph.cli as cli; "
+              "cli.recover_order = lambda m1, m2: -1; "
+              "sys.exit(cli.main(['selftest']))")
+    src = os.path.dirname(os.path.dirname(pgph.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "FAIL order and abelian recovery" in done.stdout

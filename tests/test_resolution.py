@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pgph import (
+    bundled_group,
     group_from_permutations,
     homology_dims,
     induced_map,
@@ -143,6 +144,27 @@ def test_functoriality_along_a_chain():
 def test_budget_refusal():
     from pgph.resolution import MinimalResolution
     g = group_from_permutations(D4)
-    res = MinimalResolution(g, 2, Budgets(fp_entries=10, int_entries=10))
+    res = MinimalResolution(g, 2)
     with pytest.raises(BudgetExceededError):
-        res.extend_to(3)
+        res.extend_to(3, Budgets(fp_entries=10, int_entries=10))
+
+
+def test_budget_of_a_later_call_leaves_an_extension_in_flight_alone(
+        monkeypatch, cold_caches):
+    from pgph import linalg
+    g = bundled_group("16.3")
+    kernel_basis = linalg.kernel_basis
+    calls = []
+
+    def kernel_basis_with_a_cache_hit(a, p):
+        # a second caller reaches the cached resolution with a tiny budget
+        # while the first caller is extending it
+        if not calls:
+            minimal_resolution(g, 0, budgets=Budgets(fp_entries=10))
+        calls.append(1)
+        return kernel_basis(a, p)
+
+    monkeypatch.setattr(linalg, "kernel_basis", kernel_basis_with_a_cache_hit)
+    res = minimal_resolution(g, 3, budgets=Budgets())
+    assert len(calls) == 3
+    assert res.ranks == [1, 2, 4, 6]
