@@ -127,6 +127,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_integral(args) -> int:
+    if args.max_degree < 1:
+        raise DataError(f"max degree must be at least 1: {args.max_degree}")
     name, group = _resolve_group(args.group)
     matrices = [
         integral_persistence_matrix(group, args.series, n, name=name).to_json()

@@ -18,6 +18,7 @@ import numpy as np
 __all__ = [
     "int_kernel_basis",
     "kernel_basis",
+    "pivot_columns",
     "rank",
     "row_reduce",
     "snf_diagonal",
@@ -33,11 +34,18 @@ _INT64_GUARD = 1 << 40  # switch integer elimination to Python ints beyond this
 _INT64_SAFE = 1 << 62  # bound every int64 row update stays below
 
 
-def _as_fp(a, p: int) -> np.ndarray:
-    arr = np.asarray(a, dtype=np.int64)
+def _matrix(a) -> np.ndarray:
+    arr = np.asarray(a)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {arr.shape}")
-    return arr % p
+    return arr
+
+
+def _as_fp(a, p: int) -> np.ndarray:
+    """A fresh C-ordered int64 copy of ``a`` reduced mod p."""
+    arr = np.array(_matrix(a), dtype=np.int64, order="C")
+    arr %= p
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +132,18 @@ def _row_reduce_dense(arr: np.ndarray, p: int, limit: int, reduce_above: bool):
     return arr, pivots
 
 
+def _echelon(src: np.ndarray, p: int, pivot_limit: int | None, reduce_above: bool):
+    """Eliminate a copy of ``src`` mod p into (work, pivots, packed), where
+    ``work`` is bit packed (see `_pack_gf2`) exactly when ``packed``."""
+    limit = src.shape[1] if pivot_limit is None else pivot_limit
+    if p == 2 and src.size >= _PACK_MIN_ENTRIES:
+        # pack straight from the source dtype; a wide copy of a huge matrix
+        # can dwarf the packed working set
+        words = _pack_gf2((src % 2).astype(np.uint8, copy=False))
+        return *_row_reduce_gf2(words, limit, reduce_above), True
+    return *_row_reduce_dense(_as_fp(src, p), p, limit, reduce_above), False
+
+
 def row_reduce(a, p: int, pivot_limit: int | None = None, reduce_above: bool = True):
     """Gaussian elimination mod p; returns (R, pivot_columns).
 
@@ -134,40 +154,38 @@ def row_reduce(a, p: int, pivot_limit: int | None = None, reduce_above: bool = T
     with no pivot end up at the bottom, zero in the first `pivot_limit`
     columns.  Fully deterministic: first usable row wins each pivot.
     """
-    src = np.asarray(a)
-    if src.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got shape {src.shape}")
-    n = src.shape[1]
-    limit = n if pivot_limit is None else pivot_limit
-    if p == 2 and src.size >= _PACK_MIN_ENTRIES:
-        # pack straight from the source dtype; a wide copy of a huge matrix
-        # can dwarf the packed working set
-        words = _pack_gf2((src % 2).astype(np.uint8, copy=False))
-        words, pivots = _row_reduce_gf2(words, limit, reduce_above)
-        return _unpack_gf2(words, n), pivots
-    return _row_reduce_dense(_as_fp(src, p).copy(), p, limit, reduce_above)
+    src = _matrix(a)
+    work, pivots, packed = _echelon(src, p, pivot_limit, reduce_above)
+    return (_unpack_gf2(work, src.shape[1]) if packed else work), pivots
+
+
+def pivot_columns(a, p: int) -> list[int]:
+    """Columns of ``a`` outside the F_p span of the columns before them."""
+    return _echelon(_matrix(a), p, None, False)[1]
 
 
 def rank(a, p: int) -> int:
     """Rank of a matrix over F_p."""
-    src = np.asarray(a)
-    if p == 2 and src.ndim == 2 and src.size >= _PACK_MIN_ENTRIES:
-        words = _pack_gf2((src % 2).astype(np.uint8, copy=False))
-        return len(_row_reduce_gf2(words, src.shape[1], False)[1])
-    return len(row_reduce(a, p, reduce_above=False)[1])
+    return len(pivot_columns(a, p))
 
 
 def kernel_basis(a, p: int) -> np.ndarray:
-    """Rows spanning {x : x @ a = 0}, in reduced row echelon form."""
-    arr = _as_fp(a, p)
-    m, n = arr.shape
-    aug = np.hstack([arr, np.eye(m, dtype=np.int64)])
-    reduced, pivots = row_reduce(aug, p, pivot_limit=n, reduce_above=False)
-    kernel = reduced[len(pivots) :, n:]
-    if kernel.shape[0] == 0:
-        return np.zeros((0, m), dtype=np.int64)
-    canonical, _ = row_reduce(kernel, p, reduce_above=True)
-    return canonical
+    """Rows spanning {x : x @ a = 0}, in reduced row echelon form.
+
+    Read off one RREF of a^T with reversed columns.  Each of its pivot rows
+    is nonzero only at its pivot and at free columns of lower original
+    index, so the free-variable basis already is the unique RREF.
+    """
+    reduced, pivots = row_reduce(_matrix(a).T[:, ::-1], p)
+    m = reduced.shape[1]
+    free = np.setdiff1d(np.arange(m), pivots)
+    basis = np.zeros((len(free), m), dtype=np.int64)
+    # filled in reversed coordinates, so the row of the lowest original
+    # free column comes first
+    flipped = basis[::-1, ::-1]
+    flipped[np.arange(len(free)), free] = 1
+    flipped[:, pivots] = (-reduced[: len(pivots), free].T) % p
+    return basis
 
 
 def solve(a, b, p: int):

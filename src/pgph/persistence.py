@@ -320,6 +320,8 @@ def classify(catalog, functor: str, max_degree: int,
         raise DataError("empty catalog")
     if len(set(name for name, _ in pairs)) != len(pairs):
         raise DataError("duplicate group names in catalog")
+    if max_degree < 1:
+        raise DataError(f"max degree must be at least 1: {max_degree}")
 
     def job(item):
         name, group = item

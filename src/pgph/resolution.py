@@ -7,6 +7,13 @@ isomorphism, whose ranks are the mod-p homology dimensions of G:
 minimality forces the differentials of R ox_A F_p to vanish, so
 H_n(G, F_p) = F_p^{b_n} with basis the level-n free generators.
 
+Each level is two echelon passes.  The kernel K of d_n is read off one
+RREF (`linalg.kernel_basis`, the unique RREF of K).  The new generators
+are the rows of that RREF outside the span of the radical I K, spanned by
+(g - 1) K for the minimal generators g, and of the rows before them: the
+pivot columns past the radical block of one echelon pass over the
+columns [radical rows | kernel rows].
+
 Free modules are flattened to F_p row vectors: a vector v of length
 b * |G| has v[i * |G| + g] the coefficient of the basis element g e_i,
 and elements act by (h v)[i * |G| + k] = v[i * |G| + h^{-1} k].
@@ -24,7 +31,7 @@ import numpy as np
 
 from pgph import linalg
 from pgph.config import Budgets, default_budgets
-from pgph.errors import ConsistencyError
+from pgph.errors import ConsistencyError, DataError
 from pgph.groups import FiniteGroup, GroupHom
 
 _RESOLUTIONS: dict[tuple, "MinimalResolution"] = {}
@@ -45,38 +52,6 @@ def _act_rows(group: FiniteGroup, vectors: np.ndarray, g: int) -> np.ndarray:
     blocks = vectors.shape[1] // n
     shaped = vectors.reshape(len(vectors), blocks, n)
     return shaped[:, :, act].reshape(vectors.shape)
-
-
-def _select_outside_span(reduced_base, pivot_cols, candidates, p, want):
-    """Indices of the first ``want`` candidate rows independent of the base.
-
-    ``reduced_base`` must be in reduced row echelon form with the given
-    pivot columns.  Candidates are examined in order; each pick extends the
-    span before the next is tested.
-    """
-    cand = np.asarray(candidates, dtype=np.int64) % p
-    if len(pivot_cols):
-        cand = (cand - cand[:, pivot_cols] @ reduced_base) % p
-    chosen: list[int] = []
-    extra: dict[int, np.ndarray] = {}
-    for i, row in enumerate(cand):
-        if len(chosen) == want:
-            break
-        v = row.copy()
-        while True:
-            nz = np.nonzero(v)[0]
-            if len(nz) == 0:
-                break
-            lead = int(nz[0])
-            if lead not in extra:
-                v = (v * pow(int(v[lead]), p - 2, p)) % p
-                extra[lead] = v
-                chosen.append(i)
-                break
-            v = (v - v[lead] * extra[lead]) % p
-    if len(chosen) != want:
-        raise ConsistencyError("kernel generators did not span the quotient")
-    return chosen
 
 
 class MinimalResolution:
@@ -113,27 +88,27 @@ class MinimalResolution:
             return self._diffs[n]
 
     def _extend_locked(self, degree: int, budgets: Budgets) -> None:
-        p, size = self.prime, self.group.order
+        p = self.prime
         while len(self.ranks) <= degree:
             n = len(self.ranks) - 1
             kernel = linalg.kernel_basis(self.differential(n, budgets), p)
-            if len(kernel) == 0:
-                # gen_images first: unlocked readers treat len(ranks) as the
-                # high-water mark of completed levels
-                self.gen_images.append(np.zeros((0, self.ranks[n] * size), dtype=np.int64))
-                self.ranks.append(0)
-                continue
             gens = self.group.minimal_generators()
-            radical_rows = np.vstack([
-                (_act_rows(self.group, kernel, g) - kernel) % p for g in gens
-            ]) if gens else np.zeros((0, kernel.shape[1]), dtype=np.int64)
-            budgets.check_fp("resolution radical", radical_rows.size)
-            reduced, pivots = linalg.row_reduce(radical_rows, p)
-            reduced = reduced[: len(pivots)]
-            b_next = len(kernel) - len(pivots)
-            picks = _select_outside_span(reduced, pivots, kernel, p, b_next)
+            k, width = kernel.shape
+            radical = len(gens) * k
+            budgets.check_fp("resolution radical", radical * width)
+            stack = np.empty((width, radical + k), dtype=np.min_scalar_type(p - 1))
+            for j, g in enumerate(gens):
+                stack[:, j * k : (j + 1) * k] = (
+                    (_act_rows(self.group, kernel, g) - kernel) % p).T
+            stack[:, radical:] = kernel.T
+            pivots = linalg.pivot_columns(stack, p)
+            if len(pivots) != k:
+                raise ConsistencyError("the radical left the span of the kernel")
+            picks = [c - radical for c in pivots if c >= radical]
+            # gen_images first: unlocked readers treat len(ranks) as the
+            # high-water mark of completed levels
             self.gen_images.append(kernel[picks])
-            self.ranks.append(b_next)
+            self.ranks.append(len(picks))
 
     def extend_to(self, degree: int, budgets: Budgets | None = None) -> None:
         if len(self.ranks) > degree:
@@ -167,6 +142,8 @@ def homology_dims(group: FiniteGroup, n_max: int,
                   prime: int | None = None,
                   budgets: Budgets | None = None) -> list[int]:
     """dim H_n(G, F_p) for n = 0..n_max."""
+    if n_max < 0:
+        raise DataError(f"homology degree must be nonnegative: {n_max}")
     res = minimal_resolution(group, n_max, prime=prime, budgets=budgets)
     return list(res.ranks[: n_max + 1])
 

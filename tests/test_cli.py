@@ -6,6 +6,8 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
+import pytest
+
 import pgph
 from pgph import resolution
 from pgph.catalog import bundled_group, bundled_order, write_catalog
@@ -65,11 +67,11 @@ def test_classify_all_refused_exits_three(capsys, monkeypatch):
 
 
 def test_consistency_error_exits_five(capsys, monkeypatch, cold_caches):
-    # ask the generator selection for one generator more than exists
-    select = resolution._select_outside_span
-    monkeypatch.setattr(
-        resolution, "_select_outside_span",
-        lambda base, pivots, cand, p, want: select(base, pivots, cand, p, want + 1))
+    # drop the last pivot of every echelon pass, so the generator pick sees
+    # a span one short of the kernel
+    pivot_columns = resolution.linalg.pivot_columns
+    monkeypatch.setattr(resolution.linalg, "pivot_columns",
+                        lambda a, p: pivot_columns(a, p)[:-1])
     for argv in (["homology", "--group", "catalog:8.3", "--max-degree", "2"],
                  ["classify", "--catalog", "bundled8", "--series", "L",
                   "--max-degree", "2"]):
@@ -77,6 +79,24 @@ def test_consistency_error_exits_five(capsys, monkeypatch, cold_caches):
         assert code == 5 and out == ""
         assert err.startswith("internal consistency error:")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--catalog", "bundled8", "--series", "L",
+     "--max-degree", "0", "--integral"],
+    ["classify", "--catalog", "bundled8", "--series", "L",
+     "--max-degree", "0"],
+    ["homology", "--group", "catalog:8.3", "--max-degree", "-1"],
+    ["integral", "--group", "catalog:8.3", "--series", "L",
+     "--max-degree", "0"],
+])
+def test_degrees_out_of_range_exit_four(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 4 and out == ""
+    # the degree is refused as such, not blamed on one group
+    assert err.startswith("data error: ") and "degree" in err
+    assert "8." not in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_matrix_stdout_matches_library(capsys):

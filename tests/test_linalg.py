@@ -51,16 +51,27 @@ def test_rank_against_enumeration_oracle():
             assert linalg.rank(a, p) == rank_mod_p(a.tolist(), p)
 
 
-def test_kernel_against_enumeration_oracle():
+def test_kernel_against_enumeration_oracle(monkeypatch):
+    # the kernel is returned as the unique RREF of its span, on the dense
+    # and on the bit-packed path
     rng = np.random.RandomState(13)
-    for p in (2, 3):
-        for _ in range(10):
-            a = rng.randint(0, p, size=(rng.randint(1, 6), rng.randint(1, 5)))
-            expected = set(kernel_vectors_mod_p(a.tolist(), p))
-            k = linalg.kernel_basis(a, p)
-            for row in k:
-                assert tuple(int(x) for x in row) in expected
-            assert p ** len(k) == len(expected)
+    for pack_min in (linalg._PACK_MIN_ENTRIES, 1):
+        monkeypatch.setattr(linalg, "_PACK_MIN_ENTRIES", pack_min)
+        for p in (2, 3, 5):
+            shapes = [(0, 0), (0, 3), (3, 0)] + [
+                (rng.randint(1, 6), rng.randint(1, 5)) for _ in range(10)]
+            for m, n in shapes:
+                a = rng.randint(0, p, size=(m, n))
+                expected = set(kernel_vectors_mod_p(a.tolist(), p))
+                k = linalg.kernel_basis(a, p)
+                assert k.dtype == np.int64 and k.shape[1] == m
+                assert np.array_equal(linalg.row_reduce(k, p)[0], k)
+                # nonzero RREF rows are independent, so they span p^len(k)
+                # vectors, all in the kernel
+                assert k.any(axis=1).all()
+                for row in k:
+                    assert tuple(int(x) for x in row) in expected
+                assert p ** len(k) == len(expected)
 
 
 def test_solve_round_trip():

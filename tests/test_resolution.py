@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pgph import (
+    bundled_catalog,
     bundled_group,
     group_from_permutations,
     homology_dims,
@@ -17,6 +18,7 @@ from pgph.errors import BudgetExceededError
 from oracles import (
     bar_homology_dims,
     bar_induced_rank,
+    fp_rank_echelon,
     kunneth_dims_abelian,
 )
 
@@ -168,3 +170,24 @@ def test_budget_of_a_later_call_leaves_an_extension_in_flight_alone(
     res = minimal_resolution(g, 3, budgets=Budgets())
     assert len(calls) == 3
     assert res.ranks == [1, 2, 4, 6]
+
+
+def test_generators_follow_the_greedy_rule():
+    # level n takes, in order, each kernel row outside the span of the
+    # radical I.K and of the kernel rows before it
+    from pgph import linalg
+    from pgph.resolution import _act_rows
+    for entry in bundled_catalog():
+        if not 1 < entry.order <= 16:
+            continue
+        g = entry.group
+        res = minimal_resolution(g, 3)
+        p = res.prime
+        for n in range(1, 4):
+            kernel = linalg.kernel_basis(res.differential(n - 1), p)
+            radical = np.vstack([np.zeros((0, kernel.shape[1]), dtype=np.int64)] + [
+                (_act_rows(g, kernel, h) - kernel) % p for h in g.minimal_generators()])
+            ranks = [fp_rank_echelon(np.vstack([radical, kernel[:i]]), p)
+                     for i in range(len(kernel) + 1)]
+            picks = [i for i in range(len(kernel)) if ranks[i + 1] > ranks[i]]
+            assert np.array_equal(res.gen_images[n], kernel[picks]), (entry.id, n)
