@@ -7,12 +7,20 @@ isomorphism, whose ranks are the mod-p homology dimensions of G:
 minimality forces the differentials of R ox_A F_p to vanish, so
 H_n(G, F_p) = F_p^{b_n} with basis the level-n free generators.
 
-Each level is two echelon passes.  The kernel K of d_n is read off one
-RREF (`linalg.kernel_basis`, the unique RREF of K).  The new generators
-are the rows of that RREF outside the span of the radical I K, spanned by
-(g - 1) K for the minimal generators g, and of the rows before them: the
-pivot columns past the radical block of one echelon pass over the
-columns [radical rows | kernel rows].
+Each level is built in the coordinates of the kernel below it.  Let K_n
+= ker d_n be held in its unique RREF with leading columns lead[n].  The
+rows of d_n lie in K_{n-1}, where x -> x[lead[n-1]] is injective, so d_n
+is replaced by D_n = d_n[:, lead[n-1]], with the same kernel and the same
+solutions.  K_n is read off one RREF of D_n (`linalg.kernel_basis`).  In
+K_n-coordinates its rows are the identity and each radical block (g - 1)
+K_n is a column gather minus the identity, for the minimal generators g.
+The new generators are the rows of K_n outside the span of the radical
+I K_n and of the rows before them: the coordinates at which no vector of
+the radical ends, read off one echelon pass over the radical with its
+columns reversed (`linalg.pivot_columns`).  Chain maps are lifted the same
+way, against the target's D_n.  Each level checks K_n D_n = 0 exactly,
+that D_n has full column rank (exactness), and that K_n has zero block
+sums (minimality of the level before); a failure is a ConsistencyError.
 
 Free modules are flattened to F_p row vectors: a vector v of length
 b * |G| has v[i * |G| + g] the coefficient of the basis element g e_i,
@@ -45,20 +53,30 @@ def _digest(group: FiniteGroup) -> bytes:
     return hashlib.sha1(group.cayley.tobytes()).digest()
 
 
-def _act_rows(group: FiniteGroup, vectors: np.ndarray, g: int) -> np.ndarray:
-    """g . v for each row v, vectors of shape (rows, blocks * |G|)."""
+def _acting_columns(group: FiniteGroup, columns: np.ndarray, elements) -> np.ndarray:
+    """j[e, c] with (g v)[columns[c]] = v[j[e, c]] for g = elements[e]."""
     n = group.order
-    act = group.cayley[group.inv[g]]
-    blocks = vectors.shape[1] // n
-    shaped = vectors.reshape(len(vectors), blocks, n)
-    return shaped[:, :, act].reshape(vectors.shape)
+    inverses = group.inv[np.asarray(elements, dtype=np.intp)]
+    return columns - columns % n + group.cayley[inverses[:, None], columns % n]
+
+
+def _vanishes(left: np.ndarray, right: np.ndarray, p: int) -> bool:
+    """Whether left @ right == 0 mod p, exactly: float64 products over
+    inner chunks short enough that no partial sum reaches 2^53."""
+    step = max(1, ((1 << 53) - 1) // (p - 1) ** 2)
+    acc = np.zeros((left.shape[0], right.shape[1]))
+    for s in range(0, left.shape[1], step):
+        part = left[:, s : s + step].astype(np.float64) @ right[s : s + step].astype(np.float64)
+        acc = (acc + part % p) % p
+    return not acc.any()
 
 
 class MinimalResolution:
     """A minimal free resolution of F_p over F_p[G], grown on demand.
 
     ``ranks[n]`` is the rank b_n; ``gen_images[n]`` (n >= 1) holds the
-    images of the level-n free generators as rows in F_p^{b_{n-1} |G|}.
+    images of the level-n free generators as rows in F_p^{b_{n-1} |G|};
+    ``lead[n]`` holds the leading columns of the RREF of K_n = ker d_n.
     """
 
     def __init__(self, group: FiniteGroup, prime: int):
@@ -66,48 +84,59 @@ class MinimalResolution:
         self.prime = prime
         self.ranks = [1]
         self.gen_images: list[np.ndarray | None] = [None]
-        self._diffs: dict[int, np.ndarray] = {}
+        self.lead: list[np.ndarray] = []
         self._lock = threading.RLock()
 
-    def differential(self, n: int, budgets: Budgets | None = None) -> np.ndarray:
-        """The full F_p matrix of d_n, rows indexed by (generator, g)."""
-        budgets = budgets or default_budgets()
-        self.extend_to(n, budgets)
+    def coordinate_differential(self, n: int, budgets: Budgets) -> np.ndarray:
+        """D_n = d_n[:, lead[n - 1]], rows indexed by (generator, g).
+
+        The rows of d_n lie in K_{n-1}, on which x -> x[lead[n - 1]] is
+        injective, so D_n and d_n have one kernel and one solution set.
+        D_0 is d_0, the augmentation.
+        """
+        size = self.group.order
         if n == 0:
-            return np.ones((self.group.order, 1), dtype=np.int64)
-        with self._lock:
-            if n not in self._diffs:
-                gens = self.gen_images[n]
-                size = self.group.order
-                rows = np.zeros((self.ranks[n] * size, gens.shape[1]), dtype=np.int64)
-                budgets.check_fp("resolution differential", rows.size)
-                for g in range(size):
-                    rows[g::size] = _act_rows(self.group, gens, g)
-                # row (i, g) sits at i * size + g
-                self._diffs[n] = rows
-            return self._diffs[n]
+            return np.ones((size, 1), dtype=np.int64)
+        gens, lead = self.gen_images[n], self.lead[n - 1]
+        budgets.check_fp("resolution differential", len(gens) * size * len(lead))
+        cols = _acting_columns(self.group, lead, range(size))
+        # row (i, g) sits at i * size + g
+        return gens[:, cols].reshape(len(gens) * size, len(lead))
 
     def _extend_locked(self, degree: int, budgets: Budgets) -> None:
         p = self.prime
+        size = self.group.order
         while len(self.ranks) <= degree:
             n = len(self.ranks) - 1
-            kernel = linalg.kernel_basis(self.differential(n, budgets), p)
+            diff = self.coordinate_differential(n, budgets)
+            kernel = linalg.kernel_basis(diff, p)
+            k = len(kernel)
+            if not _vanishes(kernel, diff, p):
+                raise ConsistencyError(f"a kernel row of d_{n} is not in its kernel")
+            if k + diff.shape[1] != diff.shape[0]:
+                raise ConsistencyError(f"d_{n} is not onto the kernel below it")
+            if (kernel.reshape(k, self.ranks[n], size).sum(axis=2) % p).any():
+                raise ConsistencyError(f"the resolution is not minimal at level {n}")
+            lead = (kernel != 0).argmax(axis=1) if kernel.size else np.zeros(0, dtype=np.intp)
+            # In K-coordinates x -> x[lead] the kernel rows are the identity
+            # and each radical block (g - 1) K is K[:, g . lead] - I.  Row i
+            # lies in the span of the radical and of the rows before it
+            # exactly when some radical vector ends at coordinate i, and
+            # those ends are the pivots of the radical with columns reversed.
             gens = self.group.minimal_generators()
-            k, width = kernel.shape
-            radical = len(gens) * k
-            budgets.check_fp("resolution radical", radical * width)
-            stack = np.empty((width, radical + k), dtype=np.min_scalar_type(p - 1))
-            for j, g in enumerate(gens):
-                stack[:, j * k : (j + 1) * k] = (
-                    (_act_rows(self.group, kernel, g) - kernel) % p).T
-            stack[:, radical:] = kernel.T
-            pivots = linalg.pivot_columns(stack, p)
-            if len(pivots) != k:
-                raise ConsistencyError("the radical left the span of the kernel")
-            picks = [c - radical for c in pivots if c >= radical]
-            # gen_images first: unlocked readers treat len(ranks) as the
-            # high-water mark of completed levels
+            budgets.check_fp("resolution radical", len(gens) * k * k)
+            radical = np.empty((len(gens) * k, k), dtype=np.min_scalar_type(p - 1))
+            diagonal = np.arange(k)
+            for j, cols in enumerate(_acting_columns(self.group, lead, gens)):
+                block = kernel[:, cols]
+                block[diagonal, diagonal] -= 1
+                radical[j * k : (j + 1) * k] = block % p
+            ends = k - 1 - np.array(linalg.pivot_columns(radical[:, ::-1], p), dtype=np.intp)
+            picks = np.setdiff1d(diagonal, ends)
+            # gen_images and lead first: unlocked readers treat len(ranks)
+            # as the high-water mark of completed levels
             self.gen_images.append(kernel[picks])
+            self.lead.append(lead)
             self.ranks.append(len(picks))
 
     def extend_to(self, degree: int, budgets: Budgets | None = None) -> None:
@@ -165,16 +194,15 @@ class _ChainMap:
         self.levels = [start]
         self._lock = threading.RLock()
 
-    def _full_matrix(self, n: int, budgets: Budgets) -> np.ndarray:
-        """f_n on all of A_G^{b_n}, rows indexed by (generator, g)."""
-        src, dst = self.source.group, self.target.group
+    def _previous(self, n: int, budgets: Budgets) -> np.ndarray:
+        """f_n on all of A_G^{b_n} at the target's ``lead[n]`` columns,
+        rows indexed by (generator, g)."""
         x = self.levels[n]
-        rows = np.zeros((self.source.ranks[n] * src.order, x.shape[1]), dtype=np.int64)
-        budgets.check_fp("chain map matrix", rows.size)
-        mapping = self.hom.mapping
-        for g in range(src.order):
-            rows[g::src.order] = _act_rows(dst, x, int(mapping[g]))
-        return rows
+        lead = self.target.lead[n]
+        size = self.source.group.order
+        budgets.check_fp("chain map matrix", len(x) * size * len(lead))
+        cols = _acting_columns(self.target.group, lead, self.hom.mapping)
+        return x[:, cols].reshape(len(x) * size, len(lead))
 
     def extend_to(self, degree: int, budgets: Budgets) -> None:
         if len(self.levels) > degree:
@@ -185,9 +213,10 @@ class _ChainMap:
         with self._lock:
             while len(self.levels) <= degree:
                 n = len(self.levels)
-                previous = self._full_matrix(n - 1, budgets)
-                targets = self.source.gen_images[n] @ previous % p
-                solved = linalg.solve(self.target.differential(n, budgets),
+                # x @ d'_n and the image of d_n under f_{n-1} both lie in
+                # K'_{n-1}, so they agree when they agree at its leading columns
+                targets = self.source.gen_images[n] @ self._previous(n - 1, budgets) % p
+                solved = linalg.solve(self.target.coordinate_differential(n, budgets),
                                       targets, p)
                 self.levels.append(solved)
 

@@ -541,3 +541,38 @@ def bar_induced_rank(table_g, table_q, mapping, n, p):
     image_rows = bar_boundary(table_q, n + 1)
     stacked = np.vstack([image_rows, pushed])
     return fp_rank_simple(stacked, p) - fp_rank_simple(image_rows, p)
+
+
+# ---------------------------------------------------------------------------
+# Full-width matrices of a resolution and of a chain map.  The package
+# builds each level in the coordinates of the kernel below it; these build
+# the textbook matrices on all of the free modules, from the multiplication
+# table and the stored generator images alone.
+
+
+def act_on_rows(table, vectors, g):
+    """g . v for each row v of a flattened free module over the group with
+    multiplication table ``table``: (g v)[i |G| + k] = v[i |G| + g^{-1} k]."""
+    table = np.asarray(table)
+    n = len(table)
+    g_inverse = int(np.flatnonzero(table[g] == 0)[0])
+    vectors = np.asarray(vectors, dtype=np.int64)
+    blocks = vectors.reshape(len(vectors), vectors.shape[1] // n, n)
+    return blocks[:, :, table[g_inverse]].reshape(vectors.shape)
+
+
+def free_module_matrix(table, images, elements):
+    """Rows (i, g) at i * |elements| + g: elements[g] . images[i]."""
+    images = np.asarray(images, dtype=np.int64)
+    rows = np.zeros((len(images) * len(elements), images.shape[1]), dtype=np.int64)
+    for g, h in enumerate(elements):
+        rows[g :: len(elements)] = act_on_rows(table, images, int(h))
+    return rows
+
+
+def full_differential(res, n):
+    """The F_p matrix of d_n on all of A^{b_n}, rows indexed by (generator, g)."""
+    order = res.group.order
+    if n == 0:
+        return np.ones((order, 1), dtype=np.int64)
+    return free_module_matrix(res.group.cayley, res.gen_images[n], range(order))

@@ -66,19 +66,49 @@ def test_classify_all_refused_exits_three(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def _corrupt_last_kernel_row(kernel_basis):
+    # the eliminator gets one entry of one kernel vector wrong
+    def wrapped(a, p):
+        kernel = kernel_basis(a, p)
+        if len(kernel):
+            kernel[-1, -1] = (kernel[-1, -1] + 1) % p
+        return kernel
+    return wrapped
+
+
+def _drop_last_pivot(pivot_columns):
+    # one radical vector too few: a redundant generator is picked
+    return lambda a, p: pivot_columns(a, p)[:-1]
+
+
+def _add_a_pivot(pivot_columns):
+    # one radical vector too many: a needed generator is left out
+    def wrapped(a, p):
+        pivots = pivot_columns(a, p)
+        spare = sorted(set(range(a.shape[1])) - set(pivots))
+        return sorted(pivots + spare[:1])
+    return wrapped
+
+
 def test_consistency_error_exits_five(capsys, monkeypatch, cold_caches):
-    # drop the last pivot of every echelon pass, so the generator pick sees
-    # a span one short of the kernel
-    pivot_columns = resolution.linalg.pivot_columns
-    monkeypatch.setattr(resolution.linalg, "pivot_columns",
-                        lambda a, p: pivot_columns(a, p)[:-1])
-    for argv in (["homology", "--group", "catalog:8.3", "--max-degree", "2"],
-                 ["classify", "--catalog", "bundled8", "--series", "L",
-                  "--max-degree", "2"]):
-        code, out, err = run(capsys, argv)
-        assert code == 5 and out == ""
-        assert err.startswith("internal consistency error:")
-        assert err.count("\n") == 1 and "Traceback" not in err
+    # each fault trips its own check of the resolution
+    for name, fault, message in (
+            ("kernel_basis", _corrupt_last_kernel_row, "is not in its kernel"),
+            ("pivot_columns", _drop_last_pivot, "is not minimal"),
+            ("pivot_columns", _add_a_pivot, "is not onto")):
+        with monkeypatch.context() as patch:
+            patch.setattr(resolution, "_RESOLUTIONS", {})
+            patch.setattr(resolution, "_CHAIN_MAPS", {})
+            patch.setattr(resolution.linalg, name,
+                          fault(getattr(resolution.linalg, name)))
+            for argv in (["homology", "--group", "catalog:8.3", "--max-degree", "2"],
+                         ["classify", "--catalog", "bundled8", "--series", "L",
+                          "--max-degree", "2"]):
+                code, out, err = run(capsys, argv)
+                assert code == 5 and out == ""
+                assert err.startswith("internal consistency error:")
+                assert message in err, (name, err)
+                assert err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -16,9 +16,12 @@ from pgph import (
 from pgph.config import Budgets
 from pgph.errors import BudgetExceededError
 from oracles import (
+    act_on_rows,
     bar_homology_dims,
     bar_induced_rank,
     fp_rank_echelon,
+    free_module_matrix,
+    full_differential,
     kunneth_dims_abelian,
 )
 
@@ -83,8 +86,8 @@ def test_resolution_is_exact_and_minimal():
         res = minimal_resolution(g, 4)
         size = g.order
         for n in range(1, 5):
-            here = res.differential(n)
-            below = res.differential(n - 1)
+            here = full_differential(res, n)
+            below = full_differential(res, n - 1)
             assert not np.any(here @ below % p), "d compose d must vanish"
             # image of the generators lies in the radical: block sums vanish
             gens = res.gen_images[n]
@@ -92,9 +95,9 @@ def test_resolution_is_exact_and_minimal():
             assert not np.any(blocks)
         from pgph import linalg
         for n in range(4):
-            dn = res.differential(n)
+            dn = full_differential(res, n)
             nullity = dn.shape[0] - linalg.rank(dn, p)
-            assert nullity == linalg.rank(res.differential(n + 1), p)
+            assert nullity == linalg.rank(full_differential(res, n + 1), p)
 
 
 def test_identity_map_induces_identity_matrix():
@@ -176,7 +179,6 @@ def test_generators_follow_the_greedy_rule():
     # level n takes, in order, each kernel row outside the span of the
     # radical I.K and of the kernel rows before it
     from pgph import linalg
-    from pgph.resolution import _act_rows
     for entry in bundled_catalog():
         if not 1 < entry.order <= 16:
             continue
@@ -184,10 +186,42 @@ def test_generators_follow_the_greedy_rule():
         res = minimal_resolution(g, 3)
         p = res.prime
         for n in range(1, 4):
-            kernel = linalg.kernel_basis(res.differential(n - 1), p)
+            kernel = linalg.kernel_basis(full_differential(res, n - 1), p)
             radical = np.vstack([np.zeros((0, kernel.shape[1]), dtype=np.int64)] + [
-                (_act_rows(g, kernel, h) - kernel) % p for h in g.minimal_generators()])
+                (act_on_rows(g.cayley, kernel, h) - kernel) % p
+                for h in g.minimal_generators()])
             ranks = [fp_rank_echelon(np.vstack([radical, kernel[:i]]), p)
                      for i in range(len(kernel) + 1)]
             picks = [i for i in range(len(kernel)) if ranks[i + 1] > ranks[i]]
             assert np.array_equal(res.gen_images[n], kernel[picks]), (entry.id, n)
+
+
+def test_coordinate_levels_match_full_width():
+    # levels are built on D_n = d_n[:, lead[n - 1]]: it must have the
+    # kernel of the full d_n, and lifts solved against the target's D_n
+    # must equal lifts solved against its full differential
+    from pgph import linalg
+    from pgph.resolution import _chain_map
+    budgets = Budgets()
+    for entry in bundled_catalog():
+        if entry.order > 27:
+            continue
+        res = minimal_resolution(entry.group, 4)
+        p = res.prime
+        for n in range(5):
+            want = linalg.kernel_basis(full_differential(res, n), p)
+            got = linalg.kernel_basis(res.coordinate_differential(n, budgets), p)
+            assert np.array_equal(got, want), (entry.id, n)
+        if entry.order == 1:
+            continue                    # the trivial group has no chain
+        for kind in ("L", "Zp"):
+            chain = quotient_chain(entry.group, kind)
+            for i in range(1, len(chain.quotients)):
+                cm = _chain_map(chain.hom(i, i + 1), budgets)
+                cm.extend_to(4, budgets)
+                for n in range(1, 5):
+                    previous = free_module_matrix(cm.target.group.cayley,
+                                                  cm.levels[n - 1], cm.hom.mapping)
+                    targets = cm.source.gen_images[n] @ previous % p
+                    full = linalg.solve(full_differential(cm.target, n), targets, p)
+                    assert np.array_equal(cm.levels[n], full), (entry.id, kind, i, n)
