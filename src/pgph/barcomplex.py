@@ -1,21 +1,26 @@
-"""Normalized bar complex: a homology oracle and the integral invariants.
+"""The mod-p bar-complex oracle, and integral invariants of p-groups.
 
 The normalized bar complex of G has basis in degree n the tuples of n
 non-identity elements, and the usual alternating-sum boundary with tuples
 containing the identity dropped.  Far larger than a minimal resolution but
-free of clever algebra, it is the reference mod p and the only integral
-machinery here; sizes grow as (|G|-1)^n, so entry budgets guard it all.
+free of clever algebra, it is the mod-p reference behind ``pgph homology
+--oracle``; sizes grow as (|G|-1)^n, so the F_p budget guards it.
 
-H_n(G, Z) and induced cokernels come from a p-local Smith form modulo
-p^(v_p(|G|)+1), the p-part of p·|G|, for each prime p dividing |G|.  For
-n >= 1, |G| annihilates H_n(G, Z) and its quotients, so each p-part lies
-below the modulus and is read exactly.  Those groups are finite, so a
-nonzero free rank in degree >= 1 means a failed bound: ConsistencyError.
+Integral invariants come from the minimal resolution mod q = p^E tensored
+with Z (`MinimalResolution.tensored`), D_n.  With e = v_p(|G|) + 1, p^(e-1)
+kills H_n(G, Z) for n >= 1, so H_n is read off a p-local Smith form of
+D_(n+1) mod p^e.  Cokernels also need the cycles Z_n mod p^e, the x with
+x D_n = 0 mod p^(2e) reduced mod p^e (p^(e-1) kills H_(n-1)); so E = 2e,
+with e the larger of a hom's two exponents, and both groups are resolved
+mod p^E.  D_n vanishes mod p, so by universal coefficients b_n counts the
+invariants of H_n and H_(n-1); a count that disagrees is a
+ConsistencyError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -24,10 +29,7 @@ from pgph import linalg
 from pgph.config import Budgets, default_budgets
 from pgph.errors import ConsistencyError
 from pgph.groups import FiniteGroup, GroupHom
-from pgph.resolution import _digest
-
-_BOUNDARIES: dict[tuple, np.ndarray] = {}
-_INTEGRAL: dict[tuple, "IntegralHomology"] = {}
+from pgph.resolution import MinimalResolution, _chain_map, _prime, _resolution
 
 
 def _tuple_count(order: int, n: int) -> int:
@@ -42,31 +44,15 @@ def _tuple_index(order: int, tup) -> int:
     return idx
 
 
-def _check_boundary_budget(group: FiniteGroup, n: int,
-                           budgets: Budgets | None, integral: bool) -> None:
-    budgets = budgets or default_budgets()
-    entries = _tuple_count(group.order, n) * max(_tuple_count(group.order, n - 1), 1)
-    if integral:
-        budgets.check_int("bar boundary", entries)
-    else:
-        budgets.check_fp("bar boundary", entries)
-
-
 def bar_boundary(group: FiniteGroup, n: int,
-                 budgets: Budgets | None = None,
-                 integral: bool = False) -> np.ndarray:
+                 budgets: Budgets | None = None) -> np.ndarray:
     """The matrix of d_n, rows indexed by degree-n tuples (int8 entries)."""
-    _check_boundary_budget(group, n, budgets, integral)
     order = group.order
-    key = (_digest(group), n)
-    cached = _BOUNDARIES.get(key)
-    if cached is not None:
-        return cached
     rows = _tuple_count(order, n)
     cols = _tuple_count(order, n - 1)
+    (budgets or default_budgets()).check_fp("bar boundary", rows * max(cols, 1))
     out = np.zeros((rows, cols), dtype=np.int8)
     if n == 0:
-        _BOUNDARIES[key] = out
         return out
     table = group.cayley
     for r, tup in enumerate(product(range(1, order), repeat=n)):
@@ -79,15 +65,12 @@ def bar_boundary(group: FiniteGroup, n: int,
                 out[r, _tuple_index(order, joined)] += sign
             sign = -sign
         out[r, _tuple_index(order, tup[:-1])] += sign
-    _BOUNDARIES[key] = out
     return out
 
 
 def bar_homology_fp(group: FiniteGroup, p: int, n: int,
                     budgets: Budgets | None = None) -> int:
     """dim H_n(G, F_p) straight from the bar complex."""
-    if group.order == 1:
-        return 1 if n == 0 else 0
     if n == 0:
         return 1
     lower = linalg.rank(bar_boundary(group, n, budgets), p)
@@ -97,78 +80,65 @@ def bar_homology_fp(group: FiniteGroup, p: int, n: int,
 
 @dataclass
 class IntegralHomology:
-    """H_n(G, Z) with enough internals to push cycles forward.
-
-    ``invariants`` lists torsion coefficients in ascending divisibility
-    order followed by one 0 per free rank.  ``cycle_basis`` spans the
-    degree-n cycles (a saturated lattice); ``boundary_rows`` spans the
-    degree-n boundaries.
-    """
+    """H_n(G, Z) of a p-group G: ``invariants`` lists the torsion
+    coefficients in ascending divisibility order, and H_0 = Z reads [0]."""
 
     group: FiniteGroup
     degree: int
     invariants: list[int]
-    cycle_basis: np.ndarray = field(repr=False)
-    boundary_rows: np.ndarray = field(repr=False)
 
 
-def _cokernel_invariants(matrix: np.ndarray, group: FiniteGroup,
-                         cycles: np.ndarray, n: int) -> list[int]:
-    """Invariants of the cycle lattice modulo the row span of `matrix`."""
-    diag, rest = [1] * min(matrix.shape), group.order
-    for p in range(2, group.order + 1):
-        e = 1
-        while rest % p == 0:
-            rest, e = rest // p, e + 1
-        if e > 1:
-            diag = [d * t for d, t in zip(diag, linalg.snf_p_local(matrix, p, e))]
-    free = len(cycles) - sum(1 for d in diag if d)
-    if n >= 1 and free:
-        raise ConsistencyError(f"H_{n} of order {group.order} reads free rank {free}")
-    return [d for d in diag if d > 1] + [0] * free
+def _exponent(group: FiniteGroup, p: int) -> int:
+    """e = v_p(|G|) + 1 for a p-group G."""
+    return 1 + round(math.log(group.order, p))
+
+
+def _invariants(matrix: np.ndarray, p: int, e: int) -> list[int]:
+    """The non-units of a p-local Smith form of ``matrix`` mod p^e."""
+    return [d for d in linalg.snf_p_local(matrix, p, e) if d > 1]
+
+
+def _torsion(res: MinimalResolution, n: int, e: int) -> list[int]:
+    """Invariants of H_n(G, Z) for n >= 1, read modulo p^e."""
+    upper = _invariants(res.tensored(n + 1), res.prime, e)
+    free = res.ranks[n] - len(_invariants(res.tensored(n), res.prime, e)) - len(upper)
+    if free:
+        raise ConsistencyError(f"H_{n} of order {res.group.order} reads free rank {free}")
+    return upper
 
 
 def integral_homology(group: FiniteGroup, n: int,
                       budgets: Budgets | None = None) -> IntegralHomology:
-    """H_n(G, Z) from the integral bar complex.  The cycle lattice is
-    saturated, so its quotient by the boundaries is read off d_{n+1} alone."""
-    # Budgets bound what a fresh computation would cost, so they are
-    # enforced before the result cache: refusals do not depend on history.
-    _check_boundary_budget(group, n, budgets, integral=True)
-    _check_boundary_budget(group, n + 1, budgets, integral=True)
-    key = (_digest(group), n)
-    cached = _INTEGRAL.get(key)
-    if cached is not None:
-        return cached
-    cycles = linalg.int_kernel_basis(bar_boundary(group, n, budgets, integral=True))
-    upper = bar_boundary(group, n + 1, budgets, integral=True)
-    invariants = _cokernel_invariants(upper, group, cycles, n)
-    result = _INTEGRAL[key] = IntegralHomology(group, n, invariants, cycles, upper)
-    return result
-
-
-def _push_cycles(cycles: np.ndarray, mapping: np.ndarray,
-                 source_order: int, target_order: int, n: int) -> np.ndarray:
-    """Image of cycle rows under the tuple-wise pushforward of a hom."""
-    out = np.zeros((len(cycles), _tuple_count(target_order, n)), dtype=np.int64)
-    if n == 0:
-        return cycles.astype(np.int64, copy=True)
-    for c, tup in enumerate(product(range(1, source_order), repeat=n)):
-        image = tuple(int(mapping[g]) for g in tup)
-        if 0 in image:
-            continue
-        out[:, _tuple_index(target_order, image)] += cycles[:, c]
-    return out
+    """H_n(G, Z) of a p-group G, from its minimal resolution mod p^(2e)."""
+    p = _prime(group)
+    if n <= 0:
+        return IntegralHomology(group, n, [0] if n == 0 else [])
+    e = _exponent(group, p)
+    res = _resolution(group, p, p ** (2 * e))
+    res.extend_to(n + 1, budgets)
+    return IntegralHomology(group, n, _torsion(res, n, e))
 
 
 def integral_induced_triple(hom: GroupHom, n: int,
                             budgets: Budgets | None = None):
     """(A, B, C): invariants of H_n(source, Z), H_n(target, Z) and of the
-    cokernel of the induced map."""
-    src = integral_homology(hom.source, n, budgets)
-    tgt = integral_homology(hom.target, n, budgets)
-    pushed = _push_cycles(src.cycle_basis, hom.mapping,
-                          hom.source.order, hom.target.order, n)
-    stacked = np.vstack([tgt.boundary_rows.astype(np.int64), pushed])
-    return (list(src.invariants), list(tgt.invariants),
-            _cokernel_invariants(stacked, hom.target, tgt.cycle_basis, n))
+    cokernel of the induced map, for a hom between p-groups of one prime."""
+    p = _prime(hom.source, hom.target)
+    if n <= 0:
+        return ([0], [0], []) if n == 0 else ([], [], [])
+    e = max(_exponent(hom.source, p), _exponent(hom.target, p))
+    budgets = budgets or default_budgets()
+    q = p ** (2 * e)
+    cm = _chain_map(hom, q)
+    source, target = cm.source, cm.target
+    source.extend_to(n + 1, budgets)
+    target.extend_to(n + 1, budgets)
+    a, b = _torsion(source, n, e), _torsion(target, n, e)
+    # the rows x of this kernel have x D_n = 0 mod p^(2e): Z_n mod p^e
+    lower = source.tensored(n)
+    lattice = linalg.int_kernel_basis(
+        np.vstack([lower, q * np.eye(lower.shape[1], dtype=np.int64)]))
+    cycles = lattice[:, : source.ranks[n]] % p ** e
+    pushed = cycles @ (cm.homology_matrix(n, budgets) % p ** e)
+    stacked = np.vstack([target.tensored(n + 1), pushed])
+    return a, b, _invariants(stacked, p, e)

@@ -1,7 +1,9 @@
 """Resource budgets and their environment overrides.
 
 Budgets cap the total entry count of any dense matrix the package is asked
-to materialize.  The environment variable ``PGPH_BUDGET`` overrides them:
+to materialize: mod-p work and the bar-complex oracle count against the F_p
+budget, the mod-p^E resolutions behind integral invariants against the
+integer one.  The environment variable ``PGPH_BUDGET`` overrides them:
 either a single integer applied to both budgets, or a comma-separated list
 of ``fp=N`` / ``int=N`` assignments.
 """
@@ -20,7 +22,7 @@ DEFAULT_ORDER_CAP = 512
 
 @dataclass(frozen=True)
 class Budgets:
-    """Entry-count caps for prime-field and integer matrices."""
+    """Entry-count caps for mod-p and mod-p^E (integral) work."""
 
     fp_entries: int = DEFAULT_FP_ENTRIES
     int_entries: int = DEFAULT_INT_ENTRIES

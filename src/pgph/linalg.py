@@ -7,6 +7,9 @@ matrices are numpy integer arrays with entries reduced mod p; integer
 matrices are kept exact (arbitrary-precision Python ints whenever numpy's
 fixed width could overflow).
 
+Private variants eliminate modulo q = p^E with unit pivots (nonzero mod
+p, inverted mod q), and raise ValueError where a column has no unit left.
+
 GF(2) elimination switches to a bit-packed representation above a size
 threshold; this is a speed detail only and never changes results.
 """
@@ -41,10 +44,12 @@ def _matrix(a) -> np.ndarray:
     return arr
 
 
-def _as_fp(a, p: int) -> np.ndarray:
-    """A fresh C-ordered int64 copy of ``a`` reduced mod p."""
-    arr = np.array(_matrix(a), dtype=np.int64, order="C")
-    arr %= p
+def _as_fp(a, q: int) -> np.ndarray:
+    """A fresh C-ordered copy of ``a`` reduced mod q: int64, or Python ints
+    when a row update of entries below q could overflow int64."""
+    dtype = np.int64 if (q - 1) ** 2 + q < _INT64_SAFE else object
+    arr = np.array(_matrix(a), dtype=dtype, order="C")
+    arr %= q
     return arr
 
 
@@ -103,22 +108,23 @@ def _row_reduce_gf2(words: np.ndarray, limit: int, reduce_above: bool):
     return words, pivots
 
 
-def _row_reduce_dense(arr: np.ndarray, p: int, limit: int, reduce_above: bool):
+def _row_reduce_dense(arr: np.ndarray, p: int, q: int, limit: int, reduce_above: bool):
     m = arr.shape[0]
     pivots = []
     r = 0
     for c in range(limit):
         if r >= m:
             break
-        hits = np.nonzero(arr[r:, c])[0]
+        col = arr[r:, c]
+        hits = np.nonzero(col if q == p else col % p)[0]
         if hits.size == 0:
             continue
         pr = r + int(hits[0])
         if pr != r:
             arr[[r, pr]] = arr[[pr, r]]
-        inv = pow(int(arr[r, c]), p - 2, p)
+        inv = pow(int(arr[r, c]), -1, q)
         if inv != 1:
-            arr[r] = (arr[r] * inv) % p
+            arr[r] = (arr[r] * inv) % q
         if reduce_above:
             mask = arr[:, c] != 0
             mask[r] = False
@@ -126,22 +132,23 @@ def _row_reduce_dense(arr: np.ndarray, p: int, limit: int, reduce_above: bool):
             mask = np.zeros(m, dtype=bool)
             mask[r + 1 :] = arr[r + 1 :, c] != 0
         if mask.any():
-            arr[mask] = (arr[mask] - np.outer(arr[mask, c], arr[r])) % p
+            arr[mask] = (arr[mask] - np.outer(arr[mask, c], arr[r])) % q
         pivots.append(c)
         r += 1
     return arr, pivots
 
 
-def _echelon(src: np.ndarray, p: int, pivot_limit: int | None, reduce_above: bool):
-    """Eliminate a copy of ``src`` mod p into (work, pivots, packed), where
+def _echelon(src: np.ndarray, p: int, pivot_limit: int | None, reduce_above: bool,
+             q: int):
+    """Eliminate a copy of ``src`` mod q into (work, pivots, packed), where
     ``work`` is bit packed (see `_pack_gf2`) exactly when ``packed``."""
     limit = src.shape[1] if pivot_limit is None else pivot_limit
-    if p == 2 and src.size >= _PACK_MIN_ENTRIES:
+    if q == 2 and src.size >= _PACK_MIN_ENTRIES:
         # pack straight from the source dtype; a wide copy of a huge matrix
         # can dwarf the packed working set
         words = _pack_gf2((src % 2).astype(np.uint8, copy=False))
         return *_row_reduce_gf2(words, limit, reduce_above), True
-    return *_row_reduce_dense(_as_fp(src, p), p, limit, reduce_above), False
+    return *_row_reduce_dense(_as_fp(src, q), p, q, limit, reduce_above), False
 
 
 def row_reduce(a, p: int, pivot_limit: int | None = None, reduce_above: bool = True):
@@ -154,14 +161,24 @@ def row_reduce(a, p: int, pivot_limit: int | None = None, reduce_above: bool = T
     with no pivot end up at the bottom, zero in the first `pivot_limit`
     columns.  Fully deterministic: first usable row wins each pivot.
     """
+    return _reduce(a, p, p, pivot_limit, reduce_above)
+
+
+def _reduce(a, p: int, q: int, pivot_limit: int | None = None, reduce_above: bool = True):
+    """`row_reduce` mod q, a power of p, with unit pivots; ValueError where a
+    column without a unit leaves a row without a pivot nonzero mod q."""
     src = _matrix(a)
-    work, pivots, packed = _echelon(src, p, pivot_limit, reduce_above)
-    return (_unpack_gf2(work, src.shape[1]) if packed else work), pivots
+    work, pivots, packed = _echelon(src, p, pivot_limit, reduce_above, q)
+    if packed:
+        work = _unpack_gf2(work, src.shape[1])
+    if q != p and work[len(pivots) :, :pivot_limit].any():
+        raise ValueError(f"a column has no unit pivot mod {q}")
+    return work, pivots
 
 
 def pivot_columns(a, p: int) -> list[int]:
     """Columns of ``a`` outside the F_p span of the columns before them."""
-    return _echelon(_matrix(a), p, None, False)[1]
+    return _echelon(_matrix(a), p, None, False, p)[1]
 
 
 def rank(a, p: int) -> int:
@@ -176,7 +193,12 @@ def kernel_basis(a, p: int) -> np.ndarray:
     is nonzero only at its pivot and at free columns of lower original
     index, so the free-variable basis already is the unique RREF.
     """
-    reduced, pivots = row_reduce(_matrix(a).T[:, ::-1], p)
+    return _kernel_basis_mod(a, p, p)
+
+
+def _kernel_basis_mod(a, p: int, q: int) -> np.ndarray:
+    """`kernel_basis` mod q, a power of p, in RREF mod p; see `_reduce`."""
+    reduced, pivots = _reduce(_matrix(a).T[:, ::-1], p, q)
     m = reduced.shape[1]
     free = np.setdiff1d(np.arange(m), pivots)
     basis = np.zeros((len(free), m), dtype=np.int64)
@@ -184,7 +206,7 @@ def kernel_basis(a, p: int) -> np.ndarray:
     # free column comes first
     flipped = basis[::-1, ::-1]
     flipped[np.arange(len(free)), free] = 1
-    flipped[:, pivots] = (-reduced[: len(pivots), free].T) % p
+    flipped[:, pivots] = (-reduced[: len(pivots), free].T) % q
     return basis
 
 
@@ -194,8 +216,13 @@ def solve(a, b, p: int):
     Returns the particular solution with free coordinates zero (one row per
     row of b).  Raises ValueError when the system is inconsistent.
     """
-    arr = _as_fp(a, p)
-    rhs = np.asarray(b, dtype=np.int64) % p
+    return _solve_mod(a, b, p, p)
+
+
+def _solve_mod(a, b, p: int, q: int):
+    """`solve` mod q, a power of p; see `_reduce`."""
+    arr = _as_fp(a, q)
+    rhs = np.asarray(b, dtype=np.int64) % q
     single = rhs.ndim == 1
     if single:
         rhs = rhs[None, :]
@@ -204,7 +231,7 @@ def solve(a, b, p: int):
         raise ValueError(f"rhs width {rhs.shape[1]} does not match matrix cols {n}")
     k = rhs.shape[0]
     aug = np.hstack([arr.T, rhs.T])  # (n, m + k)
-    reduced, pivots = row_reduce(aug, p, pivot_limit=m, reduce_above=True)
+    reduced, pivots = _reduce(aug, p, q, pivot_limit=m)
     if np.any(reduced[len(pivots) :, m:]):
         raise ValueError("inconsistent linear system")
     x = np.zeros((k, m), dtype=np.int64)
@@ -233,62 +260,34 @@ def snf_diagonal(a) -> list[int]:
     m = len(M)
     n = len(M[0]) if m else 0
     diag = []
-    k = 0
-    while k < m and k < n:
-        best = None
-        for i in range(k, m):
-            for j in range(k, n):
-                v = M[i][j]
-                if v and (best is None or abs(v) < abs(best[0])):
-                    best = (v, i, j)
-        if best is None:
-            break
-        _, bi, bj = best
-        M[k], M[bi] = M[bi], M[k]
-        for row in M:
-            row[k], row[bj] = row[bj], row[k]
+    for k in range(min(m, n)):
         while True:
-            # clear column k below the pivot
-            dirty = False
+            # the smallest entry left becomes the pivot; each pass that
+            # leaves a remainder in its row or column makes it smaller
+            nonzero = [(abs(M[i][j]), i, j) for i in range(k, m) for j in range(k, n) if M[i][j]]
+            if not nonzero:
+                return diag + [0] * (min(m, n) - k)
+            _, bi, bj = min(nonzero)
+            M[k], M[bi] = M[bi], M[k]
+            for row in M:
+                row[k], row[bj] = row[bj], row[k]
+            pivot = M[k][k]
             for i in range(k + 1, m):
-                if M[i][k]:
-                    q = M[i][k] // M[k][k]
-                    if q:
-                        M[i] = [x - q * y for x, y in zip(M[i], M[k])]
-                    if M[i][k]:
-                        M[k], M[i] = M[i], M[k]
-                        dirty = True
-            if dirty:
+                q = M[i][k] // pivot
+                M[i] = [x - q * y for x, y in zip(M[i], M[k])]
+            for j in range(k + 1, n):
+                q = M[k][j] // pivot
+                for row in M:
+                    row[j] -= q * row[k]
+            if any(M[i][k] for i in range(k + 1, m)) or any(M[k][k + 1 :]):
                 continue
-            # clear row k right of the pivot
-            for j in range(k + 1, n):
-                if M[k][j]:
-                    q = M[k][j] // M[k][k]
-                    if q:
-                        for row in M:
-                            row[j] -= q * row[k]
-                    if M[k][j]:
-                        for row in M:
-                            row[k], row[j] = row[j], row[k]
-                        dirty = True
-            if not dirty and all(M[i][k] == 0 for i in range(k + 1, m)):
+            # a pivot must divide everything below it: else add that row
+            culprit = next((i for i in range(k + 1, m)
+                            if any(v % pivot for v in M[i][k + 1 :])), None)
+            if culprit is None:
                 break
-        pivot = M[k][k]
-        # enforce the divisibility chain before moving on
-        culprit = None
-        for i in range(k + 1, m):
-            for j in range(k + 1, n):
-                if M[i][j] % pivot:
-                    culprit = i
-                    break
-            if culprit is not None:
-                break
-        if culprit is not None:
             M[k] = [x + y for x, y in zip(M[k], M[culprit])]
-            continue
         diag.append(abs(pivot))
-        k += 1
-    diag += [0] * (min(m, n) - len(diag))
     return diag
 
 
@@ -355,55 +354,12 @@ def snf_p_local(a, p: int, e: int) -> list[int]:
     return diag + [0] * (min(arr.shape) - len(diag))
 
 
-def _int_kernel_slow(A: list[list[int]], m: int, n: int) -> list[list[int]]:
-    """Exact Python-int [A | I] reduction; used when int64 would overflow."""
-    M = [A[i] + [int(i == j) for j in range(m)] for i in range(m)]
-    r = 0
-    for c in range(n):
-        while True:
-            best = None
-            for i in range(r, m):
-                v = M[i][c]
-                if v and (best is None or abs(v) < abs(best[0])):
-                    best = (v, i)
-            if best is None:
-                break
-            _, bi = best
-            if bi != r:
-                M[r], M[bi] = M[bi], M[r]
-            done = True
-            for i in range(r + 1, m):
-                if M[i][c]:
-                    q = M[i][c] // M[r][c]
-                    M[i] = [x - q * y for x, y in zip(M[i], M[r])]
-                    if M[i][c]:
-                        done = False
-            if done:
-                r += 1
-                break
-    return [row[n:] for row in M[r:]]
-
-
-def int_kernel_basis(a) -> np.ndarray:
-    """Basis of the integer kernel lattice {x : x @ a = 0}, rows of length m.
-
-    Row-reduces [a | I] with unimodular row operations; rows whose a-part
-    vanishes give the kernel.  The result spans a saturated sublattice, so
-    any integer kernel vector is an integer combination of these rows.
-    """
-    A = _to_int_rows(a)
-    m = len(A)
-    n = len(A[0]) if m else 0
-    if m == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-
-    def exact():
-        rows = _int_kernel_slow(A, m, n)
-        wide = any(abs(v) >= 1 << 62 for row in rows for v in row)
-        return np.array(rows, dtype=object if wide else np.int64).reshape(-1, m)
-
-    M = np.hstack([np.array(A, dtype=np.int64).reshape(m, n),
-                   np.eye(m, dtype=np.int64)])
+def _int_kernel_rows(M: np.ndarray, n: int) -> np.ndarray | None:
+    """Unimodular row reduction of [a | I] in place; the I-part of the rows
+    whose a-part (the first n columns) vanishes.  None when an int64 update
+    could overflow."""
+    checked = M.dtype != object
+    m = M.shape[0]
     r = 0
     for c in range(n):
         while r < m:
@@ -418,14 +374,36 @@ def int_kernel_basis(a) -> np.ndarray:
             hit = np.nonzero(quotients)[0]
             if hit.size:
                 targets = r + 1 + hit
-                if not _update_fits(quotients[hit], M[r],
-                                    int(np.abs(M[targets]).max())):
-                    return exact()
+                if checked and not _update_fits(quotients[hit], M[r],
+                                                int(np.abs(M[targets]).max())):
+                    return None
                 M[targets] -= quotients[hit, None] * M[r]
             if not np.any(M[r + 1 :, c]):
                 r += 1
                 break
-        if int(np.abs(M).max(initial=0)) >= _INT64_GUARD:
-            return exact()
+        if checked and int(np.abs(M).max(initial=0)) >= _INT64_GUARD:
+            return None
     return M[r:, n:]
 
+
+def int_kernel_basis(a) -> np.ndarray:
+    """Basis of the integer kernel lattice {x : x @ a = 0}, rows of length m.
+
+    Row-reduces [a | I] with unimodular row operations, in int64 or, when
+    that could overflow, in Python ints; rows whose a-part vanishes give
+    the kernel.  The result spans a saturated sublattice, so any integer
+    kernel vector is an integer combination of these rows.
+    """
+    A = _to_int_rows(a)
+    m = len(A)
+    n = len(A[0]) if m else 0
+    if m == 0:
+        return np.zeros((0, 0), dtype=np.int64)
+    for dtype in (np.int64, object):
+        M = np.hstack([np.array(A, dtype=dtype).reshape(m, n), np.eye(m, dtype=dtype)])
+        kernel = _int_kernel_rows(M, n)
+        if kernel is not None:
+            break
+    if dtype is object and all(abs(v) < 1 << 62 for v in kernel.flat):
+        kernel = kernel.astype(np.int64)
+    return kernel

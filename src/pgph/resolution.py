@@ -21,8 +21,15 @@ columns reversed (`linalg.pivot_columns`).  Chain maps are lifted the same
 way, against the target's D_n.  Each level checks K_n D_n = 0 exactly,
 that D_n has full column rank (exactness), and that K_n has zero block
 sums (minimality of the level before); a failure is a ConsistencyError.
+Each call checks its budgets against every level it needs, cached or not,
+so whether a call is refused does not depend on the cache.
 
-Free modules are flattened to F_p row vectors: a vector v of length
+The same engine resolves Z/q over (Z/q)[G], q = p^E: a minimal Z_p[G]-
+resolution reduced mod q, with the ranks b_n.  Kernels and lifts are
+eliminated mod q with unit pivots; lead, the radical pick and the
+minimality check read K_n mod p.  These levels charge the integer budget.
+
+Free modules are flattened to row vectors: a vector v of length
 b * |G| has v[i * |G| + g] the coefficient of the basis element g e_i,
 and elements act by (h v)[i * |G| + k] = v[i * |G| + h^{-1} k].
 Surjections G -> Q induce chain maps between the resolutions, and their
@@ -60,34 +67,56 @@ def _acting_columns(group: FiniteGroup, columns: np.ndarray, elements) -> np.nda
     return columns - columns % n + group.cayley[inverses[:, None], columns % n]
 
 
-def _vanishes(left: np.ndarray, right: np.ndarray, p: int) -> bool:
-    """Whether left @ right == 0 mod p, exactly: float64 products over
-    inner chunks short enough that no partial sum reaches 2^53."""
-    step = max(1, ((1 << 53) - 1) // (p - 1) ** 2)
+def _prime(*groups: FiniteGroup) -> int:
+    """The prime of p-groups; a trivial group goes with any prime."""
+    primes = {g.prime for g in groups if g.order > 1} or {2}
+    if len(primes) > 1:
+        raise DataError(f"orders {[g.order for g in groups]} are not powers of one prime")
+    return primes.pop()
+
+
+def _block_sums(rows: np.ndarray, size: int, q: int) -> np.ndarray:
+    """Free-module rows tensored with Z, mod q: their |G|-block sums."""
+    return rows.reshape(len(rows), rows.shape[1] // size, size).sum(axis=2) % q
+
+
+def _product(left: np.ndarray, right: np.ndarray, q: int) -> np.ndarray:
+    """left @ right mod q, exactly: float64 products over inner chunks short
+    enough that no partial sum reaches 2^53, or Python ints for a q so
+    large that a single product can."""
+    if (q - 1) ** 2 >= 1 << 53:
+        return left.astype(object) @ right.astype(object) % q
+    step = ((1 << 53) - 1) // (q - 1) ** 2
     acc = np.zeros((left.shape[0], right.shape[1]))
     for s in range(0, left.shape[1], step):
         part = left[:, s : s + step].astype(np.float64) @ right[s : s + step].astype(np.float64)
-        acc = (acc + part % p) % p
-    return not acc.any()
+        acc = (acc + part % q) % q
+    return acc
 
 
 class MinimalResolution:
-    """A minimal free resolution of F_p over F_p[G], grown on demand.
+    """A minimal free resolution of Z/q over (Z/q)[G], grown on demand; q
+    is the prime p unless a power of it is given.
 
     ``ranks[n]`` is the rank b_n; ``gen_images[n]`` (n >= 1) holds the
-    images of the level-n free generators as rows in F_p^{b_{n-1} |G|};
-    ``lead[n]`` holds the leading columns of the RREF of K_n = ker d_n.
+    images of the level-n free generators as rows in (Z/q)^{b_{n-1} |G|};
+    ``lead[n]`` holds the leading columns of the RREF mod p of K_n = ker d_n.
     """
 
-    def __init__(self, group: FiniteGroup, prime: int):
+    def __init__(self, group: FiniteGroup, prime: int, modulus: int | None = None):
         self.group = group
         self.prime = prime
+        self.modulus = modulus or prime
         self.ranks = [1]
         self.gen_images: list[np.ndarray | None] = [None]
         self.lead: list[np.ndarray] = []
         self._lock = threading.RLock()
 
-    def coordinate_differential(self, n: int, budgets: Budgets) -> np.ndarray:
+    def _charge(self, budgets: Budgets, stage: str, entries: int) -> None:
+        check = budgets.check_fp if self.modulus == self.prime else budgets.check_int
+        check(stage, entries)
+
+    def coordinate_differential(self, n: int) -> np.ndarray:
         """D_n = d_n[:, lead[n - 1]], rows indexed by (generator, g).
 
         The rows of d_n lie in K_{n-1}, on which x -> x[lead[n - 1]] is
@@ -98,73 +127,93 @@ class MinimalResolution:
         if n == 0:
             return np.ones((size, 1), dtype=np.int64)
         gens, lead = self.gen_images[n], self.lead[n - 1]
-        budgets.check_fp("resolution differential", len(gens) * size * len(lead))
         cols = _acting_columns(self.group, lead, range(size))
         # row (i, g) sits at i * size + g
         return gens[:, cols].reshape(len(gens) * size, len(lead))
 
-    def _extend_locked(self, degree: int, budgets: Budgets) -> None:
-        p = self.prime
-        size = self.group.order
-        while len(self.ranks) <= degree:
-            n = len(self.ranks) - 1
-            diff = self.coordinate_differential(n, budgets)
-            kernel = linalg.kernel_basis(diff, p)
-            k = len(kernel)
-            if not _vanishes(kernel, diff, p):
-                raise ConsistencyError(f"a kernel row of d_{n} is not in its kernel")
-            if k + diff.shape[1] != diff.shape[0]:
-                raise ConsistencyError(f"d_{n} is not onto the kernel below it")
-            if (kernel.reshape(k, self.ranks[n], size).sum(axis=2) % p).any():
-                raise ConsistencyError(f"the resolution is not minimal at level {n}")
-            lead = (kernel != 0).argmax(axis=1) if kernel.size else np.zeros(0, dtype=np.intp)
-            # In K-coordinates x -> x[lead] the kernel rows are the identity
-            # and each radical block (g - 1) K is K[:, g . lead] - I.  Row i
-            # lies in the span of the radical and of the rows before it
-            # exactly when some radical vector ends at coordinate i, and
-            # those ends are the pivots of the radical with columns reversed.
-            gens = self.group.minimal_generators()
-            budgets.check_fp("resolution radical", len(gens) * k * k)
-            radical = np.empty((len(gens) * k, k), dtype=np.min_scalar_type(p - 1))
-            diagonal = np.arange(k)
-            for j, cols in enumerate(_acting_columns(self.group, lead, gens)):
-                block = kernel[:, cols]
-                block[diagonal, diagonal] -= 1
-                radical[j * k : (j + 1) * k] = block % p
-            ends = k - 1 - np.array(linalg.pivot_columns(radical[:, ::-1], p), dtype=np.intp)
-            picks = np.setdiff1d(diagonal, ends)
-            # gen_images and lead first: unlocked readers treat len(ranks)
-            # as the high-water mark of completed levels
-            self.gen_images.append(kernel[picks])
-            self.lead.append(lead)
-            self.ranks.append(len(picks))
+    def _differential_entries(self, n: int) -> int:
+        """The size of D_n, b_n |G| x k_(n-1), for n >= 1."""
+        return self.ranks[n] * self.group.order * len(self.lead[n - 1])
+
+    def _build(self, n: int) -> None:
+        """Level n + 1, from D_n."""
+        p, q = self.prime, self.modulus
+        diff = self.coordinate_differential(n)
+        kernel = (linalg.kernel_basis(diff, p) if q == p
+                  else linalg._kernel_basis_mod(diff, p, q))
+        residues = kernel % p if q != p else kernel
+        k = len(kernel)
+        if _product(kernel, diff, q).any():
+            raise ConsistencyError(f"a kernel row of d_{n} is not in its kernel")
+        if k + diff.shape[1] != diff.shape[0]:
+            raise ConsistencyError(f"d_{n} is not onto the kernel below it")
+        if _block_sums(residues, self.group.order, p).any():
+            raise ConsistencyError(f"the resolution is not minimal at level {n}")
+        lead = (residues != 0).argmax(axis=1) if k else np.zeros(0, dtype=np.intp)
+        # In K-coordinates x -> x[lead] the kernel rows are the identity
+        # and each radical block (g - 1) K is K[:, g . lead] - I.  Row i
+        # lies in the span of the radical and of the rows before it
+        # exactly when some radical vector ends at coordinate i, and
+        # those ends are the pivots of the radical with columns reversed.
+        gens = self.group.minimal_generators()
+        radical = np.empty((len(gens) * k, k), dtype=np.min_scalar_type(p - 1))
+        diagonal = np.arange(k)
+        for j, cols in enumerate(_acting_columns(self.group, lead, gens)):
+            block = residues[:, cols]
+            block[diagonal, diagonal] -= 1
+            radical[j * k : (j + 1) * k] = block % p
+        ends = k - 1 - np.array(linalg.pivot_columns(radical[:, ::-1], p), dtype=np.intp)
+        picks = np.setdiff1d(diagonal, ends)
+        # gen_images and lead first: unlocked readers treat len(ranks)
+        # as the high-water mark of completed levels
+        self.gen_images.append(kernel[picks])
+        self.lead.append(lead)
+        self.ranks.append(len(picks))
 
     def extend_to(self, degree: int, budgets: Budgets | None = None) -> None:
-        if len(self.ranks) > degree:
-            return
-        with self._lock:
-            self._extend_locked(degree, budgets or default_budgets())
+        budgets = budgets or default_budgets()
+        for n in range(degree):
+            # level n + 1 needs D_n and the radical of K_n, d k_n x k_n with
+            # k_n = b_n |G| - k_(n-1) by exactness; cached levels are checked
+            # too, so refusals do not depend on the cache
+            if n:
+                self._charge(budgets, "resolution differential", self._differential_entries(n))
+            k = self.ranks[n] * self.group.order - (len(self.lead[n - 1]) if n else 1)
+            self._charge(budgets, "resolution radical",
+                         len(self.group.minimal_generators()) * k * k)
+            if len(self.ranks) <= n + 1:
+                with self._lock:
+                    if len(self.ranks) <= n + 1:
+                        self._build(n)
+
+    def tensored(self, n: int) -> np.ndarray:
+        """d_n tensored with Z, mod q: b_n x b_(n-1)."""
+        return _block_sums(self.gen_images[n], self.group.order, self.modulus)
 
 
 def minimal_resolution(group: FiniteGroup, degree: int,
                        prime: int | None = None,
                        budgets: Budgets | None = None) -> MinimalResolution:
     """The cached minimal resolution of ``group``, computed through ``degree``."""
-    if prime is None:
-        # the trivial group resolves the same way over any prime field
-        p = 2 if group.order == 1 else group.prime
-    else:
-        p = prime
-    key = (_digest(group), p)
-    with _CACHE_LOCK:
-        res = _RESOLUTIONS.get(key)
-        if res is None:
-            res = MinimalResolution(group, p)
-            _RESOLUTIONS[key] = res
+    p = _prime(group) if prime is None else prime
+    res = _resolution(group, p, p)
     # budgets go with the call, not the shared object, so a caller never
     # changes the limits of an extension already in flight
     res.extend_to(degree, budgets)
     return res
+
+
+def _cached(cache: dict, key: tuple, make):
+    with _CACHE_LOCK:
+        if key not in cache:
+            cache[key] = make()
+        return cache[key]
+
+
+def _resolution(group: FiniteGroup, prime: int, modulus: int) -> MinimalResolution:
+    """The cached resolution of ``group`` mod ``modulus``, a power of ``prime``."""
+    return _cached(_RESOLUTIONS, (_digest(group), prime, modulus),
+                   lambda: MinimalResolution(group, prime, modulus))
 
 
 def homology_dims(group: FiniteGroup, n_max: int,
@@ -178,10 +227,10 @@ def homology_dims(group: FiniteGroup, n_max: int,
 
 
 class _ChainMap:
-    """A chain map between minimal resolutions lifting F_p = F_p.
+    """A chain map between minimal resolutions mod q lifting Z/q = Z/q.
 
     Level n stores the images of the source free generators in the target
-    free module, rows in F_p^{b'_n |Q|}.
+    free module, rows in (Z/q)^{b'_n |Q|}.
     """
 
     def __init__(self, hom: GroupHom, source: MinimalResolution,
@@ -194,53 +243,49 @@ class _ChainMap:
         self.levels = [start]
         self._lock = threading.RLock()
 
-    def _previous(self, n: int, budgets: Budgets) -> np.ndarray:
-        """f_n on all of A_G^{b_n} at the target's ``lead[n]`` columns,
-        rows indexed by (generator, g)."""
-        x = self.levels[n]
-        lead = self.target.lead[n]
-        size = self.source.group.order
-        budgets.check_fp("chain map matrix", len(x) * size * len(lead))
+    def _lift(self, n: int) -> np.ndarray:
+        """Level n, solved against the target's D_n: x @ d'_n and the image
+        of d_n under f_{n-1} both lie in K'_{n-1}, so they agree when they
+        agree at its leading columns.  f_(n-1) is taken there on all of
+        A_G^(b_(n-1)), rows indexed by (generator, g)."""
+        p, q = self.source.prime, self.source.modulus
+        x, lead = self.levels[n - 1], self.target.lead[n - 1]
         cols = _acting_columns(self.target.group, lead, self.hom.mapping)
-        return x[:, cols].reshape(len(x) * size, len(lead))
+        previous = x[:, cols].reshape(len(x) * self.source.group.order, len(lead))
+        targets = _product(self.source.gen_images[n], previous, q)
+        diff = self.target.coordinate_differential(n)
+        return (linalg.solve(diff, targets, p) if q == p
+                else linalg._solve_mod(diff, targets, p, q))
 
     def extend_to(self, degree: int, budgets: Budgets) -> None:
-        if len(self.levels) > degree:
-            return
-        p = self.source.prime
-        self.source.extend_to(degree, budgets)
-        self.target.extend_to(degree, budgets)
-        with self._lock:
-            while len(self.levels) <= degree:
-                n = len(self.levels)
-                # x @ d'_n and the image of d_n under f_{n-1} both lie in
-                # K'_{n-1}, so they agree when they agree at its leading columns
-                targets = self.source.gen_images[n] @ self._previous(n - 1, budgets) % p
-                solved = linalg.solve(self.target.coordinate_differential(n, budgets),
-                                      targets, p)
-                self.levels.append(solved)
+        source, target = self.source, self.target
+        source.extend_to(degree, budgets)
+        target.extend_to(degree, budgets)
+        for n in range(1, degree + 1):
+            # level n needs f_(n-1) at the target's leading columns, and the
+            # target's D_n; cached levels are checked too, as in resolutions
+            source._charge(budgets, "chain map matrix", source.ranks[n - 1]
+                           * source.group.order * len(target.lead[n - 1]))
+            target._charge(budgets, "resolution differential", target._differential_entries(n))
+            if len(self.levels) <= n:
+                with self._lock:
+                    if len(self.levels) <= n:
+                        self.levels.append(self._lift(n))
 
     def homology_matrix(self, n: int, budgets: Budgets) -> np.ndarray:
-        """Induced H_n(source) -> H_n(target) on free generator bases."""
+        """f_n tensored with Z, mod q; mod p it induces H_n(source) -> H_n(target)."""
         self.extend_to(n, budgets)
-        x = self.levels[n]
-        if self.source.ranks[n] == 0 or self.target.ranks[n] == 0:
-            return np.zeros((self.source.ranks[n], self.target.ranks[n]), dtype=np.int64)
-        size = self.target.group.order
-        return x.reshape(len(x), self.target.ranks[n], size).sum(axis=2) % self.source.prime
+        return _block_sums(self.levels[n], self.target.group.order, self.source.modulus)
 
 
-def _chain_map(hom: GroupHom, budgets: Budgets) -> _ChainMap:
-    p = hom.source.prime
-    key = (_digest(hom.source), _digest(hom.target), hom.mapping.tobytes(), p)
-    source = minimal_resolution(hom.source, 0, budgets=budgets)
-    target = minimal_resolution(hom.target, 0, budgets=budgets)
-    with _CACHE_LOCK:
-        cm = _CHAIN_MAPS.get(key)
-        if cm is None:
-            cm = _ChainMap(hom, source, target)
-            _CHAIN_MAPS[key] = cm
-    return cm
+def _chain_map(hom: GroupHom, modulus: int | None = None) -> _ChainMap:
+    """The cached chain map over ``hom`` between resolutions mod ``modulus``,
+    by default their prime."""
+    p = _prime(hom.source, hom.target)
+    q = modulus or p
+    key = (_digest(hom.source), _digest(hom.target), hom.mapping.tobytes(), q)
+    source, target = _resolution(hom.source, p, q), _resolution(hom.target, p, q)
+    return _cached(_CHAIN_MAPS, key, lambda: _ChainMap(hom, source, target))
 
 
 def induced_map(hom: GroupHom, n: int, budgets: Budgets | None = None) -> np.ndarray:
@@ -250,4 +295,4 @@ def induced_map(hom: GroupHom, n: int, budgets: Budgets | None = None) -> np.nda
     composition order, acting on row vectors.
     """
     budgets = budgets or default_budgets()
-    return _chain_map(hom, budgets).homology_matrix(n, budgets)
+    return _chain_map(hom).homology_matrix(n, budgets)

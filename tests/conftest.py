@@ -14,8 +14,8 @@ _ACCEPTANCE: list[tuple[int, str, bool, str]] = []
 def cold_caches(monkeypatch):
     """Empty resolution caches for the test, restored afterwards.
 
-    Budget-refusal tests need this: work another test already
-    materialized does not re-trip the entry-count checks.
+    The engine then builds every level the test asks for; tests that
+    inject faults into it, or watch it build, rely on this.
     """
     from pgph import resolution
 

@@ -3,7 +3,9 @@
 Everything here favors obviousness over speed: brute-force enumeration,
 dictionary-based group arithmetic, exact determinants.  Nothing imports
 package internals beyond public constructors, so agreement between these
-oracles and the package is meaningful evidence.
+oracles and the package is meaningful evidence.  The one exception is the
+integral bar complex, which takes its integer kernels and Smith forms from
+`pgph.linalg`; test_linalg checks both against exact references here.
 """
 
 from __future__ import annotations
@@ -459,6 +461,8 @@ def bar_boundary(table, n):
     """Integer matrix of d_n on the normalized bar complex, rows = B_n."""
     table = np.asarray(table)
     order = table.shape[0]
+    if n == 0:
+        return np.zeros((1, 0), dtype=np.int64)
     rows = bar_basis(order, n)
     cols = bar_basis(order, n - 1)
     col_index = {t: i for i, t in enumerate(cols)}
@@ -541,6 +545,65 @@ def bar_induced_rank(table_g, table_q, mapping, n, p):
     image_rows = bar_boundary(table_q, n + 1)
     stacked = np.vstack([image_rows, pushed])
     return fp_rank_simple(stacked, p) - fp_rank_simple(image_rows, p)
+
+
+# ---------------------------------------------------------------------------
+# Integral homology from the integer bar complex, for any finite group.
+# For n >= 1, |G| kills H_n(G, Z) and its quotients, so a Smith form read
+# modulo p^(v_p(|G|)+1) for each prime p dividing |G| gives them exactly.
+
+
+def _cokernel_invariants(matrix, cycles, order, n):
+    """Invariants of the saturated lattice spanned by ``cycles`` modulo the
+    row span of ``matrix``: torsion ascending, then one 0 per free rank."""
+    from pgph import linalg
+    diag, rest = [1] * min(matrix.shape), order
+    for p in range(2, order + 1):
+        e = 1
+        while rest % p == 0:
+            rest, e = rest // p, e + 1
+        if e > 1:
+            diag = [d * t for d, t in zip(diag, linalg.snf_p_local(matrix, p, e))]
+    free = len(cycles) - sum(1 for d in diag if d)
+    assert n == 0 or not free, "H_n of a finite group is finite for n >= 1"
+    return [d for d in diag if d > 1] + [0] * free
+
+
+_INTEGRAL_MEMO = {}
+
+
+def _bar_integral(table, n):
+    """(integer n-cycles, invariants of H_n(G, Z)), memoized: the triples
+    along a quotient chain share their groups."""
+    from pgph import linalg
+    table = np.asarray(table)
+    key = (table.tobytes(), len(table), n)
+    if key not in _INTEGRAL_MEMO:
+        cycles = linalg.int_kernel_basis(bar_boundary(table, n))
+        homology = _cokernel_invariants(bar_boundary(table, n + 1), cycles,
+                                        len(table), n)
+        _INTEGRAL_MEMO[key] = cycles, homology
+    return _INTEGRAL_MEMO[key]
+
+
+def bar_integral_homology(table, n):
+    """Invariants of H_n(G, Z) from the integer bar complex."""
+    return list(_bar_integral(table, n)[1])
+
+
+def bar_integral_triple(table_g, table_q, mapping, n):
+    """(A, B, C) of H_n(G, Z) -> H_n(Q, Z) under an element mapping: the
+    invariants of source, target and cokernel."""
+    cycles, a = _bar_integral(table_g, n)
+    target_cycles, b = _bar_integral(table_q, n)
+    # the push matrix has at most one 1 per row: add cycle columns into place
+    push = bar_push_matrix(table_q, mapping, n)
+    hit = push.any(axis=1)
+    pushed = np.zeros((push.shape[1], len(cycles)), dtype=np.int64)
+    np.add.at(pushed, push[hit].argmax(axis=1), cycles.T[hit])
+    stacked = np.vstack([bar_boundary(table_q, n + 1), pushed.T])
+    c = _cokernel_invariants(stacked, target_cycles, len(table_q), n)
+    return list(a), list(b), c
 
 
 # ---------------------------------------------------------------------------

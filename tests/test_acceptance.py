@@ -8,18 +8,14 @@ equivalence criterion.
 
 import time
 
-import numpy as np
-import pytest
-
 import oracles
 from conftest import record_criterion
 from pgph.catalog import bundled_catalog, bundled_group, bundled_order
+from pgph.cli import diagonal_failures, recovery_failures, round_trip_failures
 from pgph.coclass import tree_persistence, verify_tree_h2_bound
-from pgph.groups import (abelianization_invariants, group_from_permutations,
-                         min_generators, quotient_chain, series)
-from pgph.persistence import (barcode, classify, matrix_from_barcode,
-                              persistence_matrix, recover_abelian_invariants,
-                              recover_order, verify_lower_central_barcodes)
+from pgph.groups import abelianization_invariants, group_from_permutations
+from pgph.persistence import (classify, persistence_matrix,
+                              verify_lower_central_barcodes)
 from pgph.resolution import homology_dims
 
 FUNCTORS = ("Z", "Zp", "L", "Lp", "D")
@@ -131,20 +127,9 @@ def test_criterion_06_structure_property_suites():
 
     # generator counts on the diagonal, one column per nilpotency step,
     # and the group order recovered from the two p-central series
-    for entry in small_pgroup_entries():
-        g = entry.group
-        chain = quotient_chain(g, "L")
-        pm = persistence_matrix(g, "L", 1)
-        if pm.size != len(series(g, "L").terms) - 1:
-            failures.append(f"{entry.id}: column count != class")
-        for t, q in enumerate(chain.quotients):
-            if pm.matrix[t, t] != len(min_generators(q)):
-                failures.append(f"{entry.id}: diagonal != generator count")
-        for functor in ("Lp", "Zp"):
-            m1 = persistence_matrix(g, functor, 1)
-            m2 = persistence_matrix(g, functor, 2)
-            if recover_order(m1, m2) != g.order:
-                failures.append(f"{entry.id}: order not recovered ({functor})")
+    pairs = [(e.id, e.group) for e in small_pgroup_entries()]
+    failures += diagonal_failures(pairs, ("L",))
+    failures += recovery_failures(pairs, ("Lp", "Zp"))
 
     # abelian invariants recovered for every abelian 2-group of order at
     # most 64 and 3-group of order at most 81
@@ -174,10 +159,9 @@ def test_criterion_06_structure_property_suites():
             for part in partitions(n):
                 factors = sorted(p ** e for e in part)
                 g = group_from_permutations(abelian_perms(factors))
-                m1 = persistence_matrix(g, "Zp", 1)
-                m2 = persistence_matrix(g, "Zp", 2)
-                if recover_abelian_invariants(m1, m2) != factors:
-                    failures.append(f"invariants lost: {factors}")
+                if abelianization_invariants(g) != factors:
+                    failures.append(f"wrong group built: {factors}")
+                failures += recovery_failures([(str(factors), g)], ("Zp",))
                 abelian_count += 1
 
     # lower central bar code structure on every nonabelian bundled group
@@ -250,16 +234,10 @@ def test_criterion_09_large_orders_documented_not_gated():
 
 def test_criterion_10_round_trips_and_monotonicity():
     t0 = time.time()
-    failures = []
-    count = 0
-    for entry in small_pgroup_entries():
-        for functor in FUNCTORS:
-            for degree in (1, 2, 3):
-                pm = persistence_matrix(entry.group, functor, degree)
-                rebuilt = matrix_from_barcode(barcode(pm))
-                count += 1
-                if not np.array_equal(rebuilt.matrix, pm.matrix):
-                    failures.append(f"{entry.id} {functor} {degree}")
+    pairs = [(e.id, e.group) for e in small_pgroup_entries()]
+    degrees = (1, 2, 3)
+    failures = round_trip_failures(pairs, FUNCTORS, degrees)
+    count = len(pairs) * len(FUNCTORS) * len(degrees)
     record_criterion(10, "barcode round trip on every computed matrix",
                      not failures,
                      "; ".join(failures[:4])

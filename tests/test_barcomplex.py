@@ -7,16 +7,19 @@ from pgph import (
     bar_homology_fp,
     group_from_permutations,
     homology_dims,
+    induced_map,
     integral_homology,
     integral_induced_triple,
     quotient,
 )
-from pgph import barcomplex, linalg
+from pgph import linalg, resolution
 from pgph.barcomplex import bar_boundary
-from pgph.catalog import bundled_catalog, bundled_order
+from pgph.catalog import bundled_catalog, bundled_group, bundled_order
 from pgph.config import Budgets
-from pgph.errors import BudgetExceededError, ConsistencyError
-from pgph.groups import GroupHom
+from pgph.errors import BudgetExceededError, ConsistencyError, DataError
+from pgph.groups import GroupHom, quotient_chain
+
+import oracles
 
 C2 = [(1, 0)]
 C4 = [(1, 2, 3, 0)]
@@ -25,6 +28,14 @@ D4 = [(1, 2, 3, 0), (0, 3, 2, 1)]
 Q8 = [(1, 2, 3, 0, 7, 4, 5, 6), (4, 5, 6, 7, 2, 3, 0, 1)]
 C3 = [(1, 2, 0)]
 S3 = [(1, 0, 2), (1, 2, 0)]
+
+
+def cyclic(n):
+    return group_from_permutations([tuple((i + 1) % n for i in range(n))])
+
+
+def involution(g):
+    return next(x for x in range(1, g.order) if g.cayley[x, x] == 0)
 
 
 def test_bar_boundary_squares_to_zero():
@@ -78,14 +89,21 @@ def test_integral_homology_quaternion():
 
 
 def test_integral_homology_beyond_p_groups():
+    # the bar-complex oracle takes any finite group; the package, p-groups
     s3 = group_from_permutations(S3)
-    assert [integral_homology(s3, n).invariants for n in range(4)] == [[0], [2], [], [6]]
+    assert [oracles.bar_integral_homology(s3.cayley, n) for n in range(4)] == [
+        [0], [2], [], [6]]
+    with pytest.raises(DataError, match="not a prime power"):
+        integral_homology(s3, 1)
+    with pytest.raises(DataError, match="not a prime power"):
+        integral_induced_triple(GroupHom(s3, s3, np.arange(6)), 1)
 
 
 def test_universal_coefficients_consistency():
     # dim H_n(F_p) = (p-divisible part of H_n) + (p-torsion of H_{n-1})
     cases = [(e.id, e.group, 3) for e in bundled_catalog() if 1 < e.order <= 8]
-    cases += [(e.id, e.group, 2) for e in bundled_order(16)]
+    cases += [(e.id, e.group, 4) for e in bundled_order(16)]
+    cases += [(e.id, e.group, 3) for e in bundled_order(27)]
     for name, g, top in cases:
         p = g.prime
         dims = homology_dims(g, top)
@@ -98,11 +116,52 @@ def test_universal_coefficients_consistency():
             assert dims[n] == tensor + tor, (name, n)
 
 
+def test_integral_homology_beyond_the_bar_complex():
+    # textbook H_3 of the generalized quaternion, semidihedral and dihedral
+    # groups; the bar complex is refused here under the default budget
+    assert integral_homology(bundled_group("16.9"), 3).invariants == [16]
+    assert integral_homology(bundled_group("16.8"), 3).invariants == [2, 8]
+    assert integral_homology(bundled_group("128.dihedral"), 3).invariants == [2, 2, 64]
+
+
+def test_integral_h3_separates_semidihedral_from_quaternion():
+    # a further witness for criterion 3: the two groups agree integrally
+    # through degree 2 and are told apart by H_3
+    sd16, q16 = bundled_group("16.8"), bundled_group("16.9")
+    for n in range(3):
+        assert integral_homology(sd16, n).invariants == integral_homology(q16, n).invariants
+    assert integral_homology(sd16, 3).invariants == [2, 8]
+    assert integral_homology(q16, 3).invariants == [16]
+
+
+def test_triples_match_the_bar_complex_oracle():
+    # every chain hom of every series, at each order to the degrees the
+    # integer bar complex reaches
+    plan = {4: (0, 1, 2, 3, 4), 8: (1, 2, 3), 9: (1, 2, 3), 16: (1, 2), 27: (1,)}
+    compared, mismatches = 0, []
+    for order, degrees in plan.items():
+        for entry in bundled_order(order):
+            for kind in ("Z", "Zp", "L", "Lp", "D"):
+                chain = quotient_chain(entry.group, kind)
+                for i in range(1, len(chain) + 1):
+                    for j in range(i, len(chain) + 1):
+                        hom = chain.hom(i, j)
+                        for n in degrees:
+                            got = integral_induced_triple(hom, n)
+                            want = oracles.bar_integral_triple(
+                                hom.source.cayley, hom.target.cayley, hom.mapping, n)
+                            compared += 1
+                            if got != want:
+                                mismatches.append((entry.id, kind, i, j, n, got, want))
+    assert compared == 824
+    assert not mismatches, mismatches[:4]
+
+
 def test_exponent_too_small_raises(monkeypatch):
     # modulo 2 alone the invariant 8 of H_3(Q8) reads as free rank
     local = linalg.snf_p_local
     monkeypatch.setattr(linalg, "snf_p_local", lambda a, p, e: local(a, p, 1))
-    monkeypatch.setattr(barcomplex, "_INTEGRAL", {})
+    monkeypatch.setattr(resolution, "_RESOLUTIONS", {})
     with pytest.raises(ConsistencyError, match="free rank 1"):
         integral_homology(group_from_permutations(Q8), 3)
 
@@ -145,3 +204,69 @@ def test_integral_budget_refusal():
     g = group_from_permutations(D4)
     with pytest.raises(BudgetExceededError):
         integral_homology(g, 3, budgets=Budgets(fp_entries=10**9, int_entries=100))
+
+
+def _outcome(call):
+    try:
+        return call()
+    except BudgetExceededError as exc:
+        return str(exc)
+
+
+def test_refusals_do_not_depend_on_the_cache(monkeypatch):
+    # cached levels are charged again, so warm caches refuse what cold ones do
+    d4 = group_from_permutations(D4)
+    _, proj = quotient(d4, d4.center_elements())
+    calls = [
+        lambda b: integral_homology(d4, 3, budgets=Budgets(int_entries=b)).invariants,
+        lambda b: integral_induced_triple(proj, 2, budgets=Budgets(int_entries=b)),
+        lambda b: homology_dims(d4, 3, budgets=Budgets(fp_entries=b)),
+        lambda b: induced_map(proj, 2, Budgets(fp_entries=b)).tolist(),
+    ]
+    refused = passed = 0
+    for budget in (20, 60, 100, 150, 1000):
+        cold = []
+        for call in calls:
+            monkeypatch.setattr(resolution, "_RESOLUTIONS", {})
+            monkeypatch.setattr(resolution, "_CHAIN_MAPS", {})
+            cold.append(_outcome(lambda: call(budget)))
+        for call in calls:
+            call(10**9)
+        assert [_outcome(lambda: call(budget)) for call in calls] == cold, budget
+        refused += sum(isinstance(out, str) for out in cold)
+        passed += sum(not isinstance(out, str) for out in cold)
+    assert refused and passed
+
+
+def test_triples_of_injections_match_the_bar_complex_oracle():
+    # the target may need a larger exponent than the source, and a trivial
+    # group goes with either prime
+    c2, c8, c16 = cyclic(2), cyclic(8), cyclic(16)
+    trivial = group_from_permutations([(0,)])
+    cases = [(GroupHom(c2, c8, np.array([0, involution(c8)])), (1, 2, 3)),
+             (GroupHom(c2, c16, np.array([0, involution(c16)])), (1, 2)),
+             (GroupHom(trivial, cyclic(3), np.array([0])), (1, 2, 3)),
+             (GroupHom(trivial, c8, np.array([0])), (1, 2, 3))]
+    for hom, degrees in cases:
+        for n in degrees:
+            want = oracles.bar_integral_triple(hom.source.cayley, hom.target.cayley,
+                                               hom.mapping, n)
+            assert integral_induced_triple(hom, n) == want, (hom.target.order, n)
+    # H_1(C2) = Z/2 lands on 4 Z/8, leaving Z/4
+    assert integral_induced_triple(cases[0][0], 1) == ([2], [8], [4])
+
+
+def test_triple_across_two_primes_is_refused():
+    hom = GroupHom(cyclic(2), cyclic(3), np.array([0, 0]))
+    with pytest.raises(DataError, match="one prime"):
+        integral_induced_triple(hom, 1)
+
+
+@pytest.mark.parametrize("p", [101, 239])
+def test_integral_homology_of_large_prime_cyclic_groups(p):
+    # modulo p^4 the exact products run on Python ints from p = 101 on,
+    # and the eliminator from p = 223 on; from p = 239 on, (p^4)^2
+    # overflows int64
+    g = cyclic(p)
+    assert integral_homology(g, 1).invariants == oracles.bar_integral_homology(g.cayley, 1)
+    assert [integral_homology(g, n).invariants for n in (1, 2, 3)] == [[p], [], [p]]

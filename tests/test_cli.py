@@ -57,12 +57,12 @@ def test_budget_exhaustion_exits_three(capsys, monkeypatch, cold_caches):
 
 def test_classify_all_refused_exits_three(capsys, monkeypatch):
     # every group is refused, so the report gives way to the first refusal
-    monkeypatch.setenv("PGPH_BUDGET", "int=100")
+    monkeypatch.setenv("PGPH_BUDGET", "int=40")
     code, out, err = run(capsys, ["classify", "--catalog", "bundled8",
                                   "--series", "Zp", "--max-degree", "3",
                                   "--integral"])
     assert code == 3 and out == ""
-    assert err.startswith("budget exceeded: 8.1: bar boundary")
+    assert err.startswith("budget exceeded: 8.1: resolution radical")
     assert "Traceback" not in err
 
 
@@ -245,6 +245,15 @@ def test_homology_oracle_cross_check(capsys):
     assert payload["agrees"] is True
 
 
+def test_homology_oracle_of_the_trivial_group(capsys):
+    # the oracle resolves over the prime the resolution picks, 2 here
+    code, out, _ = run(capsys, ["homology", "--group", "catalog:1.1",
+                                "--max-degree", "2", "--oracle"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["dims"] == payload["oracle"] == [1, 0, 0]
+
+
 def test_integral_matrices(capsys):
     code, out, _ = run(capsys, ["integral", "--group", "catalog:4.1",
                                 "--series", "Zp", "--max-degree", "1"])
@@ -252,6 +261,18 @@ def test_integral_matrices(capsys):
     payload = json.loads(out)
     cell = payload["matrices"][0]["matrix"][0][1]
     assert cell == {"A": [4], "B": [2], "C": []}
+
+
+def test_integral_beyond_the_bar_complex(capsys):
+    # both needed more than the default integer budget as bar complexes
+    code, out, _ = run(capsys, ["integral", "--group", "catalog:16.8",
+                                "--series", "Zp", "--max-degree", "3"])
+    assert code == 0
+    assert json.loads(out)["matrices"][2]["matrix"][0][0]["A"] == [2, 8]
+    code, out, _ = run(capsys, ["classify", "--catalog", "bundled27", "--series",
+                                "Zp", "--max-degree", "2", "--integral"])
+    assert code == 0
+    assert json.loads(out.split("\n")[0])["groups"] == 5
 
 
 def test_selftest_passes(capsys):

@@ -93,6 +93,33 @@ def test_solve_single_row_and_inconsistent():
         linalg.solve(a, [0, 1], 2)
 
 
+def test_elimination_mod_a_prime_power():
+    # mod 4 the column [2] has no unit pivot: refused, not answered wrongly
+    with pytest.raises(ValueError, match="no unit pivot"):
+        linalg._kernel_basis_mod(np.array([[2]]), 2, 4)
+    with pytest.raises(ValueError, match="no unit pivot"):
+        linalg._solve_mod(np.array([[2]]), np.array([2]), 2, 4)
+    # with a unit pivot in every column both are exact mod q
+    rng = np.random.default_rng(11)
+    checked = 0
+    for p, q in ((2, 16), (3, 81), (5, 5 ** 6)):
+        for _ in range(30):
+            m = int(rng.integers(1, 7))
+            a = rng.integers(0, q, size=(m, int(rng.integers(0, m + 1))))
+            if linalg.rank(a, p) < a.shape[1]:
+                continue
+            kernel = linalg._kernel_basis_mod(a, p, q)
+            assert kernel.shape == (m - a.shape[1], m)
+            assert not (kernel @ a % q).any()
+            # a free summand of rank m - cols, so all of the kernel
+            assert linalg.rank(kernel, p) == len(kernel)
+            x = rng.integers(0, q, size=(3, m))
+            solved = linalg._solve_mod(a, x @ a % q, p, q)
+            assert np.array_equal(solved @ a % q, x @ a % q)
+            checked += 1
+    assert checked > 30
+
+
 def test_packed_gf2_path_matches_dense(monkeypatch):
     rng = np.random.RandomState(23)
     cases = [rng.randint(0, 2, size=(rng.randint(1, 20), rng.randint(1, 90))) for _ in range(12)]

@@ -311,19 +311,22 @@ def test_classify_all_failed_raises_first_groups_own_error(cold_caches):
         classify({"s3": s3, "s3 again": s3}, "L", 1, workers=2)
     catalog = {"small": group_from_permutations(C4),
                "big": group_from_permutations(C8)}
-    with pytest.raises(BudgetExceededError, match="^small: bar boundary"):
+    with pytest.raises(BudgetExceededError, match="^small: resolution radical"):
         classify(catalog, "Zp", 1, integral=True,
                  budgets=Budgets(fp_entries=10**6, int_entries=5))
 
 
 def test_classify_same_report_for_any_worker_count(monkeypatch):
     catalog = {entry.id: entry.group for entry in bundled_order(16)}
+    order8 = {entry.id: entry.group for entry in bundled_order(8)}
     reports = {}
     for workers in (1, 2):
         monkeypatch.setattr(resolution, "_RESOLUTIONS", {})
         monkeypatch.setattr(resolution, "_CHAIN_MAPS", {})
         reports[workers] = [classify(catalog, kind, 3, workers=workers)
                             for kind in SERIES_KINDS]
+        reports[workers].append(classify(order8, "Zp", 3, integral=True,
+                                         workers=workers))
     assert reports[1] == reports[2]
     assert not any(report["partial"] for report in reports[1])
 

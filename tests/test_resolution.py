@@ -210,14 +210,14 @@ def test_coordinate_levels_match_full_width():
         p = res.prime
         for n in range(5):
             want = linalg.kernel_basis(full_differential(res, n), p)
-            got = linalg.kernel_basis(res.coordinate_differential(n, budgets), p)
+            got = linalg.kernel_basis(res.coordinate_differential(n), p)
             assert np.array_equal(got, want), (entry.id, n)
         if entry.order == 1:
             continue                    # the trivial group has no chain
         for kind in ("L", "Zp"):
             chain = quotient_chain(entry.group, kind)
             for i in range(1, len(chain.quotients)):
-                cm = _chain_map(chain.hom(i, i + 1), budgets)
+                cm = _chain_map(chain.hom(i, i + 1))
                 cm.extend_to(4, budgets)
                 for n in range(1, 5):
                     previous = free_module_matrix(cm.target.group.cayley,
@@ -225,3 +225,49 @@ def test_coordinate_levels_match_full_width():
                     targets = cm.source.gen_images[n] @ previous % p
                     full = linalg.solve(full_differential(cm.target, n), targets, p)
                     assert np.array_equal(cm.levels[n], full), (entry.id, kind, i, n)
+
+
+def test_concurrent_extensions_build_each_level_once(monkeypatch):
+    # more threads than cores extend one cold resolution and one mod-p^E
+    # chain map to different degrees at once; each level is built once and
+    # everything agrees with a serial run
+    import sys
+    import threading
+
+    from pgph import integral_induced_triple, resolution
+
+    g = bundled_group("16.8")
+    hom = quotient_chain(g, "L").hom(1, 2)
+    degrees = [4, 1, 3, 2, 4, 3, 1, 2]
+
+    def work(d):
+        return minimal_resolution(g, d).ranks[d], integral_induced_triple(hom, d)
+
+    def cold():
+        monkeypatch.setattr(resolution, "_RESOLUTIONS", {})
+        monkeypatch.setattr(resolution, "_CHAIN_MAPS", {})
+
+    cold()
+    serial = [work(d) for d in degrees]
+    cold()
+    results = [None] * len(degrees)
+
+    def run(i):
+        results[i] = work(degrees[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(degrees))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == serial
+    for res in resolution._RESOLUTIONS.values():
+        assert len(res.gen_images) == len(res.ranks) == len(res.lead) + 1
+    for cm in resolution._CHAIN_MAPS.values():
+        assert len(cm.levels) <= max(degrees) + 1
