@@ -10,10 +10,13 @@ Integral invariants come from the minimal resolution mod q = p^E tensored
 with Z (`MinimalResolution.tensored`), D_n.  With e = v_p(|G|) + 1, p^(e-1)
 kills H_n(G, Z) for n >= 1, so H_n is read off a p-local Smith form of
 D_(n+1) mod p^e.  Cokernels also need the cycles Z_n mod p^e, the x with
-x D_n = 0 mod p^(2e) reduced mod p^e (p^(e-1) kills H_(n-1)); so E = 2e,
-with e the larger of a hom's two exponents, and both groups are resolved
-mod p^E.  D_n vanishes mod p, so by universal coefficients b_n counts the
-invariants of H_n and H_(n-1); a count that disagrees is a
+x D_n = 0 mod p^(2e) reduced mod p^e (p^(e-1) kills H_(n-1)); so E = 2e.
+Along a chain of groups and links, as for one hom, e is the largest
+exponent, each group is resolved once mod p^E and each link lifted once.
+Two lifts of a hom are chain homotopic, so on cycles they differ mod p^e
+by boundaries of the target, and a composite of lifts serves for the
+composite hom.  D_n vanishes mod p, so by universal coefficients b_n
+counts the invariants of H_n and H_(n-1); a count that disagrees is a
 ConsistencyError.
 """
 
@@ -110,35 +113,44 @@ def _torsion(res: MinimalResolution, n: int, e: int) -> list[int]:
 def integral_homology(group: FiniteGroup, n: int,
                       budgets: Budgets | None = None) -> IntegralHomology:
     """H_n(G, Z) of a p-group G, from its minimal resolution mod p^(2e)."""
-    p = _prime(group)
+    return IntegralHomology(group, n, _chain_triples([group], [], n, budgets)[0, 0][0])
+
+
+def _chain_triples(groups, links, n: int, budgets: Budgets | None = None) -> dict:
+    """(A, B, C) of every composite H_n(Q_i, Z) -> H_n(Q_j, Z), i <= j, along
+    groups Q_0, ..., Q_(N-1) joined by ``links`` Q_t -> Q_(t+1), keyed (i, j);
+    C reads the cycles of Q_i pushed through f_i ... f_(j-1) mod p^e."""
+    p = _prime(*groups)
     if n <= 0:
-        return IntegralHomology(group, n, [0] if n == 0 else [])
-    e = _exponent(group, p)
-    res = _resolution(group, p, p ** (2 * e))
-    res.extend_to(n + 1, budgets)
-    return IntegralHomology(group, n, _torsion(res, n, e))
+        cell = ([0], [0], []) if n == 0 else ([], [], [])
+        return {(i, j): cell for i in range(len(groups)) for j in range(i, len(groups))}
+    e = max(_exponent(g, p) for g in groups)
+    budgets = budgets or default_budgets()
+    q = p ** (2 * e)
+    resolutions = [_resolution(g, p, q) for g in groups]
+    for res in resolutions:
+        res.extend_to(n + 1, budgets)
+    torsion = [_torsion(res, n, e) for res in resolutions]
+    maps = [_chain_map(hom, q).homology_matrix(n, budgets) % p ** e for hom in links]
+    triples = {}
+    for i, res in enumerate(resolutions):
+        triples[i, i] = (torsion[i], torsion[i], [])
+        if i == len(links):
+            break
+        # the rows x of this kernel have x D_n = 0 mod p^(2e): Z_n mod p^e
+        lower = res.tensored(n)
+        lattice = linalg.int_kernel_basis(
+            np.vstack([lower, q * np.eye(lower.shape[1], dtype=np.int64)]))
+        pushed = lattice[:, : res.ranks[n]] % p ** e
+        for j in range(i + 1, len(groups)):
+            pushed = pushed @ maps[j - 1] % p ** e
+            stacked = np.vstack([resolutions[j].tensored(n + 1), pushed])
+            triples[i, j] = (torsion[i], torsion[j], _invariants(stacked, p, e))
+    return triples
 
 
 def integral_induced_triple(hom: GroupHom, n: int,
                             budgets: Budgets | None = None):
     """(A, B, C): invariants of H_n(source, Z), H_n(target, Z) and of the
     cokernel of the induced map, for a hom between p-groups of one prime."""
-    p = _prime(hom.source, hom.target)
-    if n <= 0:
-        return ([0], [0], []) if n == 0 else ([], [], [])
-    e = max(_exponent(hom.source, p), _exponent(hom.target, p))
-    budgets = budgets or default_budgets()
-    q = p ** (2 * e)
-    cm = _chain_map(hom, q)
-    source, target = cm.source, cm.target
-    source.extend_to(n + 1, budgets)
-    target.extend_to(n + 1, budgets)
-    a, b = _torsion(source, n, e), _torsion(target, n, e)
-    # the rows x of this kernel have x D_n = 0 mod p^(2e): Z_n mod p^e
-    lower = source.tensored(n)
-    lattice = linalg.int_kernel_basis(
-        np.vstack([lower, q * np.eye(lower.shape[1], dtype=np.int64)]))
-    cycles = lattice[:, : source.ranks[n]] % p ** e
-    pushed = cycles @ (cm.homology_matrix(n, budgets) % p ** e)
-    stacked = np.vstack([target.tensored(n + 1), pushed])
-    return a, b, _invariants(stacked, p, e)
+    return _chain_triples([hom.source, hom.target], [hom], n, budgets)[0, 1]

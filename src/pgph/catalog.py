@@ -237,7 +237,8 @@ def load_group_file(path: str) -> CatalogEntry:
     if not isinstance(name, str) or not name:
         raise _group_file_error(path, "missing or empty \"name\"")
     degree = data.get("degree")
-    if not isinstance(degree, int) or degree < 1:
+    # type(x) is int: JSON true and false load as bools, a subclass of int
+    if type(degree) is not int or degree < 1:
         raise _group_file_error(path, "\"degree\" must be a positive integer")
     raw_gens = data.get("generators")
     if not isinstance(raw_gens, list) or not raw_gens:
@@ -245,7 +246,7 @@ def load_group_file(path: str) -> CatalogEntry:
     perms = []
     for k, images in enumerate(raw_gens):
         if (not isinstance(images, list) or len(images) != degree
-                or not all(isinstance(x, int) for x in images)):
+                or not all(type(x) is int for x in images)):
             raise _group_file_error(
                 path, f"generator {k + 1} is not a list of {degree} integers")
         if sorted(images) != list(range(1, degree + 1)):

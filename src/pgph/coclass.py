@@ -24,7 +24,6 @@ a lower bound for the number of relators in any presentation.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -203,18 +202,6 @@ def _tower(kind: str, l_min: int, l_max: int):
     return groups, links
 
 
-def _warm_homology(groups, degree, budgets) -> None:
-    # Resolutions are cached per group, so warming them in parallel makes
-    # the later induced-map lifts serial but cheap.
-    if len(groups) <= 1:
-        for g in groups:
-            minimal_resolution(g, degree, budgets=budgets)
-        return
-    with ThreadPoolExecutor(max_workers=min(len(groups), 4)) as pool:
-        list(pool.map(lambda g: minimal_resolution(g, degree, budgets=budgets),
-                      groups))
-
-
 def tree_persistence(kind: str, degree: int, l_min: int, l_max: int,
                      budgets=None) -> dict:
     """Image dimensions of the homology maps down the coclass tree.
@@ -237,7 +224,6 @@ def tree_persistence(kind: str, degree: int, l_min: int, l_max: int,
         raise DataError("window must contain at least one link "
                         f"(l_min = {l_min}, l_max = {l_max})")
     groups, links = _tower(kind, l_min, l_max)
-    _warm_homology(list(groups.values()), degree, budgets)
     p = 2
     matrices = {lvl: induced_map(links[lvl], degree, budgets)
                 for lvl in range(l_min, l_max)}
@@ -300,7 +286,6 @@ def verify_tree_h2_bound(kind: str, l_min: int, l_max: int,
                 "reason": "no stabilization in the estimation window"}
     leaf = kind != "dihedral"
     members = {lvl: family(kind, lvl) for lvl in range(l_min, l_max + 1)}
-    _warm_homology(list(members.values()), 2, budgets)
     checks = []
     for lvl, group in members.items():
         h2 = minimal_resolution(group, 2, budgets=budgets).ranks[2]

@@ -93,11 +93,6 @@ class FiniteGroup:
     def inverse(self, a: int) -> int:
         return int(self.inv[a])
 
-    def conjugate(self, a: int, g: int) -> int:
-        """g^-1 * a * g."""
-        t = self.cayley
-        return int(t[t[self.inv[g], a], g])
-
     def commutator(self, a: int, b: int) -> int:
         """a^-1 * b^-1 * a * b."""
         t = self.cayley

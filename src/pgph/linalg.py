@@ -303,11 +303,10 @@ def snf_p_local(a, p: int, e: int) -> list[int]:
 
     Each invariant d of `a` becomes p^v_p(d) when v_p(d) < e and 0
     otherwise, in the divisibility-chain order of `snf_diagonal`.  Phase v
-    eliminates with pivots that are units mod p, working modulo p^(e-v),
-    then divides what is left by p.  Row operations suffice: once a pivot
-    has cleared its column, its row is dropped.  Only the pivot row and
-    column are reduced per step; the block is reduced when a row update
-    could reach 2^62.
+    row-reduces modulo p^(e-v) with unit pivots, each giving one entry p^v;
+    the pivot block is unitriangular and the rows left are zero in its
+    columns, so column operations split it off.  A column with no unit
+    never gets one, so the rows left vanish mod p and are divided by p.
     """
     arr = np.asarray(a)
     if arr.size == 0:
@@ -315,41 +314,18 @@ def snf_p_local(a, p: int, e: int) -> list[int]:
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {arr.shape}")
     if arr.shape[0] > arr.shape[1]:
+        # a pivot updates each row that meets its column: on a sparse tall
+        # input (a bar boundary) far more rows than on its transpose
         arr = arr.T
-    q = p ** e
-    dtype = np.int64 if (q - 1) ** 2 + q < _INT64_SAFE else object
-    M = (arr if arr.dtype == object else arr.astype(np.int64)) % q
-    M = M.astype(dtype, order="C")  # row updates run along contiguous rows
     diag: list[int] = []
+    rest = arr % p ** e
     for v in range(e):
-        mod = q // p ** v
-        step = (mod - 1) ** 2
-        bound = mod - 1
-        k = M.shape[0]
-        # a column with no unit now never gets one: every update adds a
-        # multiple of an active row, whose entry there is divisible by p
-        for c in np.flatnonzero((M % p).any(axis=0)):
-            if k == 0:
-                break
-            col = M[:k, c] % mod
-            units = np.flatnonzero(col % p)
-            if units.size == 0:
-                continue
-            r = int(units[0])
-            row = (M[r] % mod) * pow(int(col[r]), -1, mod) % mod
-            k -= 1  # the last active row takes the pivot row's slot
-            M[r], col[r] = M[k], col[k]
-            hits = np.flatnonzero(col[:k])
-            if hits.size:
-                if bound + step >= _INT64_SAFE:
-                    M[:k] %= mod
-                    bound = mod - 1
-                M[hits] -= np.outer(col[hits], row)
-                bound += step
-        diag += [p ** v] * (M.shape[0] - k)
-        M = M[:k] % mod // p
-        M = M[np.ix_(M.any(axis=1), M.any(axis=0))]
-        if M.size == 0:
+        mod = p ** (e - v)
+        reduced, pivots = _row_reduce_dense(_as_fp(rest, mod), p, mod, arr.shape[1],
+                                            reduce_above=False)
+        diag += [p ** v] * len(pivots)
+        rest = reduced[len(pivots) :] // p
+        if not rest.any():
             break
     return diag + [0] * (min(arr.shape) - len(diag))
 

@@ -28,7 +28,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from pgph import linalg
-from pgph.barcomplex import integral_induced_triple
+from pgph.barcomplex import _chain_triples
 from pgph.config import Budgets
 from pgph.errors import (BudgetExceededError, ConsistencyError, DataError,
                           PgphError)
@@ -153,9 +153,6 @@ class InvariantFingerprint:
     degrees: int
     serialized: tuple[str, ...]
 
-    def prefix(self, t: int) -> tuple[str, ...]:
-        return self.serialized[:t]
-
 
 def _matrix_for_chain(chain: QuotientChain, functor: str, degree: int,
                       budgets: Budgets | None, name: str) -> PersistenceMatrix:
@@ -251,16 +248,12 @@ def integral_persistence_matrix(group: FiniteGroup, functor: str, degree: int,
     if degree < 0:
         raise DataError(f"homology degree must be nonnegative: {degree}")
     chain = quotient_chain(group, functor)
-    n_terms = len(chain)
-    rows = []
-    for i in range(1, n_terms + 1):
-        row: list = [None] * (i - 1)
-        for j in range(i, n_terms + 1):
-            a, b, c = integral_induced_triple(chain.hom(i, j), degree, budgets)
-            row.append((tuple(a), tuple(b), tuple(c)))
-        rows.append(tuple(row))
+    cells = _chain_triples(chain.quotients, chain.maps, degree, budgets)
+    rows = tuple(
+        tuple(None if j < i else tuple(map(tuple, cells[i, j])) for j in range(len(chain)))
+        for i in range(len(chain)))
     orders = tuple(q.order for q in chain.quotients)
-    return IntegralPersistenceMatrix(name, functor, degree, orders, tuple(rows))
+    return IntegralPersistenceMatrix(name, functor, degree, orders, rows)
 
 
 def _serialize_matrix(pm: PersistenceMatrix) -> str:

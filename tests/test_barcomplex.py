@@ -10,6 +10,7 @@ from pgph import (
     induced_map,
     integral_homology,
     integral_induced_triple,
+    integral_persistence_matrix,
     quotient,
 )
 from pgph import linalg, resolution
@@ -136,25 +137,36 @@ def test_integral_h3_separates_semidihedral_from_quaternion():
 
 def test_triples_match_the_bar_complex_oracle():
     # every chain hom of every series, at each order to the degrees the
-    # integer bar complex reaches
+    # integer bar complex reaches, taken alone and as a cell of the chain's
+    # matrix, which composes link maps at one modulus
     plan = {4: (0, 1, 2, 3, 4), 8: (1, 2, 3), 9: (1, 2, 3), 16: (1, 2), 27: (1,)}
     compared, mismatches = 0, []
     for order, degrees in plan.items():
         for entry in bundled_order(order):
             for kind in ("Z", "Zp", "L", "Lp", "D"):
                 chain = quotient_chain(entry.group, kind)
-                for i in range(1, len(chain) + 1):
-                    for j in range(i, len(chain) + 1):
-                        hom = chain.hom(i, j)
-                        for n in degrees:
-                            got = integral_induced_triple(hom, n)
+                for n in degrees:
+                    matrix = integral_persistence_matrix(entry.group, kind, n)
+                    for i in range(1, len(chain) + 1):
+                        for j in range(i, len(chain) + 1):
+                            hom = chain.hom(i, j)
                             want = oracles.bar_integral_triple(
                                 hom.source.cayley, hom.target.cayley, hom.mapping, n)
+                            cell = [list(part) for part in matrix.entry(i, j)]
+                            got = (integral_induced_triple(hom, n), tuple(cell))
                             compared += 1
-                            if got != want:
+                            if got != (want, want):
                                 mismatches.append((entry.id, kind, i, j, n, got, want))
     assert compared == 824
     assert not mismatches, mismatches[:4]
+
+
+def test_chain_matrix_lifts_one_chain_map_per_link(cold_caches):
+    # one modulus for the chain C8 -> C4 -> C2: each quotient is resolved
+    # once and each link lifted once, composites reuse them
+    integral_persistence_matrix(bundled_group("8.1"), "Zp", 3)
+    assert len(resolution._RESOLUTIONS) == 3
+    assert len(resolution._CHAIN_MAPS) == 2
 
 
 def test_exponent_too_small_raises(monkeypatch):

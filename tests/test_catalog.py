@@ -150,6 +150,10 @@ def write_bad_file(tmp_path, payload) -> str:
      "not a permutation"),
     ({"name": "x", "degree": 4, "generators": [[2, 3, 4, 1]], "tags": "cyc"},
      "tags"),
+    # JSON booleans are not integers, though Python's bool is an int
+    ({"name": "x", "degree": True, "generators": [[1]]}, "degree"),
+    ({"name": "x", "degree": 2, "generators": [[2, True]]},
+     "not a list of 2 integers"),
 ])
 def test_load_group_file_rejects(tmp_path, payload, fragment):
     path = write_bad_file(tmp_path, payload)

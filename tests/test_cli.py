@@ -42,6 +42,10 @@ def test_data_errors_exit_four(capsys, tmp_path):
                         "--series", "Z", "--max-degree", "2"])[0] == 4
     assert run(capsys, ["classify", "--catalog", str(tmp_path / "none"),
                         "--series", "Z", "--max-degree", "2"])[0] == 4
+    boolean = tmp_path / "y.json"
+    boolean.write_text(json.dumps({"name": "y", "degree": 2, "generators": [[2, True]]}))
+    code, _, err = run(capsys, ["homology", "--group", str(boolean), "--max-degree", "2"])
+    assert code == 4 and "not a list of 2 integers" in err
     # window starts below the smallest family member
     assert run(capsys, ["coclass", "--family", "dihedral",
                         "--levels", "2..5", "--degree", "1"])[0] == 4
