@@ -10,8 +10,13 @@ fixed width could overflow).
 Private variants eliminate modulo q = p^E with unit pivots (nonzero mod
 p, inverted mod q), and raise ValueError where a column has no unit left.
 
-GF(2) elimination switches to a bit-packed representation above a size
-threshold; this is a speed detail only and never changes results.
+GF(2) is eliminated on bit-packed rows.  Other moduli go through column
+panels of `_PANEL` columns: one pivot at a time on the panel's columns,
+which picks the same rows and pivots J as a pass over the whole matrix,
+then one exact float64 product updates every other row.  The product
+sums at most `_PANEL` terms below (q - 1)^2, exact while that stays below
+2^53; past it, and on Python-int matrices, the pivot loop runs alone.
+Both ways give the same matrix and pivots, byte for byte.
 """
 
 from __future__ import annotations
@@ -29,10 +34,8 @@ __all__ = [
     "solve",
 ]
 
-# Entry count above which GF(2) elimination is bit packed.  Tests shrink
-# this to force the packed path onto small inputs.
-_PACK_MIN_ENTRIES = 1 << 16
-
+_PANEL = 128  # columns eliminated by the pivot loop between products
+_CHUNK = 1 << 18  # entries per row chunk of a float64 product or update
 _INT64_GUARD = 1 << 40  # switch integer elimination to Python ints beyond this
 _INT64_SAFE = 1 << 62  # bound every int64 row update stays below
 
@@ -42,6 +45,27 @@ def _matrix(a) -> np.ndarray:
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {arr.shape}")
     return arr
+
+
+def _product(left: np.ndarray, right: np.ndarray, q: int) -> np.ndarray:
+    """left @ right mod q, exactly: float64 products of row chunks over inner
+    chunks short enough that no partial sum reaches 2^53, or Python ints
+    for a q so large that a single product can."""
+    if (q - 1) ** 2 >= 1 << 53:
+        return left.astype(object) @ right.astype(object) % q
+    step = ((1 << 53) - 1) // (q - 1) ** 2
+    inner = left.shape[1]
+    parts = [(s, right[s : s + step].astype(np.float64)) for s in range(0, inner, step)]
+    out = np.zeros((left.shape[0], right.shape[1]), dtype=np.int64)
+    rows = max(1, _CHUNK // max(inner, 1))
+    for lo in range(0, left.shape[0], rows):
+        acc = out[lo : lo + rows]
+        for s, part in parts:
+            # below 2^53 the float64 sums are exact integers, and an int64
+            # remainder is several times cheaper than a float64 one
+            acc += (left[lo : lo + rows, s : s + step].astype(np.float64) @ part).astype(np.int64)
+            acc %= q
+    return out
 
 
 def _as_fp(a, q: int) -> np.ndarray:
@@ -63,10 +87,9 @@ def _pack_gf2(a: np.ndarray) -> np.ndarray:
     if n == 0:
         return np.zeros((m, 0), dtype=np.uint64)
     packed = np.packbits(a.astype(np.uint8, copy=False), axis=1, bitorder="little")
-    pad = (-packed.shape[1]) % 8
-    if pad:
-        packed = np.pad(packed, ((0, 0), (0, pad)))
-    return np.ascontiguousarray(packed).view(np.uint64)
+    words = np.zeros((m, -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
+    words[:, : packed.shape[1]] = packed
+    return words.view(np.uint64)
 
 
 def _unpack_gf2(words: np.ndarray, n: int) -> np.ndarray:
@@ -86,31 +109,30 @@ def _row_reduce_gf2(words: np.ndarray, limit: int, reduce_above: bool):
         if r >= m:
             break
         word, bit = divmod(c, 64)
-        col = (words[r:, word] >> np.uint64(bit)) & np.uint64(1)
-        hits = np.nonzero(col)[0]
+        # one pass over the column finds the pivot and the rows to clear
+        hot = (words[:, word] & np.uint64(1 << bit)) != 0
+        hits = np.nonzero(hot[r:])[0]
         if hits.size == 0:
             continue
         pr = r + int(hits[0])
         if pr != r:
             words[[r, pr]] = words[[pr, r]]
-        if reduce_above:
-            colfull = (words[:, word] >> np.uint64(bit)) & np.uint64(1)
-            mask = colfull.astype(bool)
-            mask[r] = False
-        else:
-            below = (words[r + 1 :, word] >> np.uint64(bit)) & np.uint64(1)
-            mask = np.zeros(m, dtype=bool)
-            mask[r + 1 :] = below.astype(bool)
-        if mask.any():
-            words[mask] ^= words[r]
+        hot[pr] = hot[r] = False
+        if not reduce_above:
+            hot[:r] = False
+        if hot.any():
+            # the pivot row is zero in the words left of its pivot
+            words[hot, word:] ^= words[r, word:]
         pivots.append(c)
         r += 1
     return words, pivots
 
 
-def _row_reduce_dense(arr: np.ndarray, p: int, q: int, limit: int, reduce_above: bool):
+def _pivot_loop(arr: np.ndarray, p: int, q: int, limit: int, reduce_above: bool):
+    """Eliminate ``arr`` in place one pivot at a time; (pivots, swaps), the
+    row pairs swapped in order."""
     m = arr.shape[0]
-    pivots = []
+    pivots, swaps = [], []
     r = 0
     for c in range(limit):
         if r >= m:
@@ -122,6 +144,7 @@ def _row_reduce_dense(arr: np.ndarray, p: int, q: int, limit: int, reduce_above:
         pr = r + int(hits[0])
         if pr != r:
             arr[[r, pr]] = arr[[pr, r]]
+            swaps.append((r, pr))
         inv = pow(int(arr[r, c]), -1, q)
         if inv != 1:
             arr[r] = (arr[r] * inv) % q
@@ -132,23 +155,67 @@ def _row_reduce_dense(arr: np.ndarray, p: int, q: int, limit: int, reduce_above:
             mask = np.zeros(m, dtype=bool)
             mask[r + 1 :] = arr[r + 1 :, c] != 0
         if mask.any():
-            arr[mask] = (arr[mask] - np.outer(arr[mask, c], arr[r])) % q
+            # mod p the pivot row is zero left of its pivot
+            cols = slice(c if q == p else 0, None)
+            arr[mask, cols] = (arr[mask, cols] - np.outer(arr[mask, c], arr[r, cols])) % q
         pivots.append(c)
         r += 1
+    return pivots, swaps
+
+
+def _row_reduce_dense(arr: np.ndarray, p: int, q: int, limit: int, reduce_above: bool):
+    """`_pivot_loop` through column panels: the loop on a panel's columns
+    picks its rows and pivots J, and every other row takes one update
+    row - row[J] @ top, with top = B^-1 @ rows[picked], B = rows[picked][:, J].
+    The results are the loop's, byte for byte."""
+    m = arr.shape[0]
+    if min(m, limit) <= _PANEL or _PANEL * (q - 1) ** 2 >= 1 << 53:
+        return arr, _pivot_loop(arr, p, q, limit, reduce_above)[0]
+    step = max(1, _CHUNK // arr.shape[1])
+    pivots: list[int] = []
+    r = 0
+    for c0 in range(0, limit, _PANEL):
+        if r >= m:
+            break
+        panel = arr[r:, c0 : min(c0 + _PANEL, limit)].copy()
+        found, swaps = _pivot_loop(panel, p, q, panel.shape[1], False)
+        if not found:
+            continue
+        for a, b in swaps:
+            arr[[r + a, r + b]] = arr[[r + b, r + a]]
+        k = len(found)
+        # mod p the picked rows, so top too, are zero left of the panel,
+        # and the update leaves those columns alone; mod p^E they need not be
+        start = c0 if q == p else 0
+        cols = c0 - start + np.array(found)
+        picked = arr[r : r + k, start:]
+        inverse = np.hstack([picked[:, cols], np.eye(k, dtype=arr.dtype)])
+        _pivot_loop(inverse, p, q, k, True)
+        top = _product(inverse[:, k:], picked, q)
+        # the loop leaves the pivot rows echelon, as the panel loop did,
+        # or reduced, as top is
+        picked[:] = top if reduce_above else _product(panel[:k, found], top, q)
+        for lo, hi in ((0, r if reduce_above else 0), (r + k, m)):
+            for s in range(lo, hi, step):
+                block = arr[s : min(s + step, hi), start:]
+                block -= _product(block[:, cols], top, q)
+                block %= q
+        pivots += [c0 + c for c in found]
+        r += k
     return arr, pivots
 
 
 def _echelon(src: np.ndarray, p: int, pivot_limit: int | None, reduce_above: bool,
              q: int):
-    """Eliminate a copy of ``src`` mod q into (work, pivots, packed), where
-    ``work`` is bit packed (see `_pack_gf2`) exactly when ``packed``."""
+    """Eliminate a copy of ``src`` mod q into (work, pivots); mod 2, ``work``
+    is bit packed (see `_pack_gf2`)."""
     limit = src.shape[1] if pivot_limit is None else pivot_limit
-    if q == 2 and src.size >= _PACK_MIN_ENTRIES:
+    if q == 2:
         # pack straight from the source dtype; a wide copy of a huge matrix
         # can dwarf the packed working set
         words = _pack_gf2((src % 2).astype(np.uint8, copy=False))
-        return *_row_reduce_gf2(words, limit, reduce_above), True
-    return *_row_reduce_dense(_as_fp(src, q), p, q, limit, reduce_above), False
+        return _row_reduce_gf2(words, limit, reduce_above)
+    return _row_reduce_dense(_as_fp(src, q), p, q, limit, reduce_above)
 
 
 def row_reduce(a, p: int, pivot_limit: int | None = None, reduce_above: bool = True):
@@ -168,8 +235,8 @@ def _reduce(a, p: int, q: int, pivot_limit: int | None = None, reduce_above: boo
     """`row_reduce` mod q, a power of p, with unit pivots; ValueError where a
     column without a unit leaves a row without a pivot nonzero mod q."""
     src = _matrix(a)
-    work, pivots, packed = _echelon(src, p, pivot_limit, reduce_above, q)
-    if packed:
+    work, pivots = _echelon(src, p, pivot_limit, reduce_above, q)
+    if q == 2:
         work = _unpack_gf2(work, src.shape[1])
     if q != p and work[len(pivots) :, :pivot_limit].any():
         raise ValueError(f"a column has no unit pivot mod {q}")

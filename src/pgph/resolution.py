@@ -80,20 +80,6 @@ def _block_sums(rows: np.ndarray, size: int, q: int) -> np.ndarray:
     return rows.reshape(len(rows), rows.shape[1] // size, size).sum(axis=2) % q
 
 
-def _product(left: np.ndarray, right: np.ndarray, q: int) -> np.ndarray:
-    """left @ right mod q, exactly: float64 products over inner chunks short
-    enough that no partial sum reaches 2^53, or Python ints for a q so
-    large that a single product can."""
-    if (q - 1) ** 2 >= 1 << 53:
-        return left.astype(object) @ right.astype(object) % q
-    step = ((1 << 53) - 1) // (q - 1) ** 2
-    acc = np.zeros((left.shape[0], right.shape[1]))
-    for s in range(0, left.shape[1], step):
-        part = left[:, s : s + step].astype(np.float64) @ right[s : s + step].astype(np.float64)
-        acc = (acc + part % q) % q
-    return acc
-
-
 class MinimalResolution:
     """A minimal free resolution of Z/q over (Z/q)[G], grown on demand; q
     is the prime p unless a power of it is given.
@@ -141,9 +127,11 @@ class MinimalResolution:
         diff = self.coordinate_differential(n)
         kernel = (linalg.kernel_basis(diff, p) if q == p
                   else linalg._kernel_basis_mod(diff, p, q))
-        residues = kernel % p if q != p else kernel
+        gens = self.group.minimal_generators()
         k = len(kernel)
-        if _product(kernel, diff, q).any():
+        radical = np.empty((len(gens) * k, k), dtype=np.min_scalar_type(p - 1))
+        residues = (kernel % p if q != p else kernel).astype(radical.dtype)
+        if linalg._product(kernel, diff, q).any():
             raise ConsistencyError(f"a kernel row of d_{n} is not in its kernel")
         if k + diff.shape[1] != diff.shape[0]:
             raise ConsistencyError(f"d_{n} is not onto the kernel below it")
@@ -155,13 +143,13 @@ class MinimalResolution:
         # lies in the span of the radical and of the rows before it
         # exactly when some radical vector ends at coordinate i, and
         # those ends are the pivots of the radical with columns reversed.
-        gens = self.group.minimal_generators()
-        radical = np.empty((len(gens) * k, k), dtype=np.min_scalar_type(p - 1))
         diagonal = np.arange(k)
         for j, cols in enumerate(_acting_columns(self.group, lead, gens)):
-            block = residues[:, cols]
-            block[diagonal, diagonal] -= 1
-            radical[j * k : (j + 1) * k] = block % p
+            block = radical[j * k : (j + 1) * k]
+            np.take(residues, cols, axis=1, out=block, mode="clip")
+            # minus 1 mod p without leaving the unsigned dtype
+            ones = block[diagonal, diagonal]
+            block[diagonal, diagonal] = np.where(ones, ones - 1, p - 1)
         ends = k - 1 - np.array(linalg.pivot_columns(radical[:, ::-1], p), dtype=np.intp)
         picks = np.setdiff1d(diagonal, ends)
         # gen_images and lead first: unlocked readers treat len(ranks)
@@ -252,7 +240,7 @@ class _ChainMap:
         x, lead = self.levels[n - 1], self.target.lead[n - 1]
         cols = _acting_columns(self.target.group, lead, self.hom.mapping)
         previous = x[:, cols].reshape(len(x) * self.source.group.order, len(lead))
-        targets = _product(self.source.gen_images[n], previous, q)
+        targets = linalg._product(self.source.gen_images[n], previous, q)
         diff = self.target.coordinate_differential(n)
         return (linalg.solve(diff, targets, p) if q == p
                 else linalg._solve_mod(diff, targets, p, q))

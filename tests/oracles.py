@@ -319,6 +319,20 @@ class ToyGroup:
         return terms
 
 
+def cyclic_product_rep(orders):
+    """Disjoint cycles, one generator per factor."""
+    total = sum(orders)
+    gens = []
+    start = 0
+    for m in orders:
+        perm = list(range(total))
+        for i in range(m):
+            perm[start + i] = start + (i + 1) % m
+        gens.append(tuple(perm))
+        start += m
+    return gens
+
+
 def kunneth_dims_abelian(cyclic_orders, p, n_max):
     """dim H_n(prod C_m, F_p) for p dividing every m: r-fold convolution of ones."""
     for m in cyclic_orders:

@@ -51,27 +51,24 @@ def test_rank_against_enumeration_oracle():
             assert linalg.rank(a, p) == rank_mod_p(a.tolist(), p)
 
 
-def test_kernel_against_enumeration_oracle(monkeypatch):
-    # the kernel is returned as the unique RREF of its span, on the dense
-    # and on the bit-packed path
+def test_kernel_against_enumeration_oracle():
+    # the kernel is returned as the unique RREF of its span
     rng = np.random.RandomState(13)
-    for pack_min in (linalg._PACK_MIN_ENTRIES, 1):
-        monkeypatch.setattr(linalg, "_PACK_MIN_ENTRIES", pack_min)
-        for p in (2, 3, 5):
-            shapes = [(0, 0), (0, 3), (3, 0)] + [
-                (rng.randint(1, 6), rng.randint(1, 5)) for _ in range(10)]
-            for m, n in shapes:
-                a = rng.randint(0, p, size=(m, n))
-                expected = set(kernel_vectors_mod_p(a.tolist(), p))
-                k = linalg.kernel_basis(a, p)
-                assert k.dtype == np.int64 and k.shape[1] == m
-                assert np.array_equal(linalg.row_reduce(k, p)[0], k)
-                # nonzero RREF rows are independent, so they span p^len(k)
-                # vectors, all in the kernel
-                assert k.any(axis=1).all()
-                for row in k:
-                    assert tuple(int(x) for x in row) in expected
-                assert p ** len(k) == len(expected)
+    for p in (2, 3, 5):
+        shapes = [(0, 0), (0, 3), (3, 0)] + [
+            (rng.randint(1, 6), rng.randint(1, 5)) for _ in range(10)]
+        for m, n in shapes:
+            a = rng.randint(0, p, size=(m, n))
+            expected = set(kernel_vectors_mod_p(a.tolist(), p))
+            k = linalg.kernel_basis(a, p)
+            assert k.dtype == np.int64 and k.shape[1] == m
+            assert np.array_equal(linalg.row_reduce(k, p)[0], k)
+            # nonzero RREF rows are independent, so they span p^len(k)
+            # vectors, all in the kernel
+            assert k.any(axis=1).all()
+            for row in k:
+                assert tuple(int(x) for x in row) in expected
+            assert p ** len(k) == len(expected)
 
 
 def test_solve_round_trip():
@@ -120,27 +117,98 @@ def test_elimination_mod_a_prime_power():
     assert checked > 30
 
 
-def test_packed_gf2_path_matches_dense(monkeypatch):
+def test_packed_gf2_words_match_enumeration():
+    # rows wider than one 64-bit word of the packed GF(2) elimination
     rng = np.random.RandomState(23)
-    cases = [rng.randint(0, 2, size=(rng.randint(1, 20), rng.randint(1, 90))) for _ in range(12)]
-    dense = [(linalg.rank(a, 2), linalg.kernel_basis(a, 2)) for a in cases]
-    monkeypatch.setattr(linalg, "_PACK_MIN_ENTRIES", 1)
-    packed = [(linalg.rank(a, 2), linalg.kernel_basis(a, 2)) for a in cases]
-    for (r1, k1), (r2, k2) in zip(dense, packed):
-        assert r1 == r2
-        assert np.array_equal(k1, k2)
+    for _ in range(8):
+        a = rng.randint(0, 2, size=(rng.randint(1, 9), rng.randint(1, 150)))
+        assert linalg.rank(a, 2) == rank_mod_p(a.tolist(), 2)
+        expected = set(kernel_vectors_mod_p(a.tolist(), 2))
+        k = linalg.kernel_basis(a, 2)
+        assert np.array_equal(linalg.row_reduce(k, 2)[0], k)
+        assert {tuple(int(x) for x in row) for row in k} <= expected
+        assert 2 ** len(k) == len(expected)
 
 
-def test_packed_solve_matches_dense(monkeypatch):
+def test_packed_solve_round_trip():
     rng = np.random.RandomState(29)
     a = rng.randint(0, 2, size=(40, 70))
     x = rng.randint(0, 2, size=(5, 40))
     b = (x @ a) % 2
-    want = linalg.solve(a, b, 2)
-    monkeypatch.setattr(linalg, "_PACK_MIN_ENTRIES", 1)
     got = linalg.solve(a, b, 2)
-    assert np.array_equal(want, got)
     assert np.array_equal((got @ a) % 2, b)
+    # the particular solution is zero off the pivot rows of a
+    free = np.setdiff1d(np.arange(40), linalg.pivot_columns(a.T, 2))
+    assert not got[:, free].any()
+
+
+def _rank_deficient(rng, q, m, n):
+    """X @ Y mod q of rank r < min(m, n) mod p, with some columns replaced
+    by multiples of earlier ones so that pivots spread across panels."""
+    r = int(rng.integers(1, min(m, n)))
+    a = rng.integers(0, q, size=(m, r)) @ rng.integers(0, q, size=(r, n)) % q
+    for j in rng.choice(np.arange(1, n), size=n // 3, replace=False):
+        a[:, j] = a[:, rng.integers(0, j)] * rng.integers(0, q) % q
+    return a
+
+
+def _eliminations(a, p, q, limit, rng):
+    """Every exact eliminator on ``a`` mod q; a ValueError is a result."""
+    m = a.shape[0]
+    calls = {
+        "reduce": lambda: linalg._reduce(a, p, q),
+        "echelon": lambda: linalg._reduce(a, p, q, reduce_above=False),
+        "reduce_limit": lambda: linalg._reduce(a, p, q, pivot_limit=limit),
+        "echelon_limit": lambda: linalg._reduce(a, p, q, pivot_limit=limit,
+                                                reduce_above=False),
+        "kernel": lambda: linalg._kernel_basis_mod(a, p, q),
+        "solve": lambda: linalg._solve_mod(a, rng.integers(0, q, size=(3, m)) @ a % q, p, q),
+    }
+    if q == p:
+        calls["pivots"] = lambda: linalg.pivot_columns(a, p)
+    else:
+        e = round(np.log(q) / np.log(p))
+        # multiples of p off the span give invariants p, p^2, ...
+        noisy = (a + p * rng.integers(0, q, size=a.shape) * (rng.random(a.shape) < 0.01)) % q
+        calls["snf"] = lambda: linalg.snf_p_local(noisy, p, e)
+    out = {}
+    for name, call in calls.items():
+        try:
+            out[name] = call()
+        except ValueError as err:
+            out[name] = str(err)
+    return out
+
+
+@pytest.mark.parametrize("panel, sizes", [(None, (150, 400)), (8, (10, 60))])
+def test_panels_match_the_pivot_loop(monkeypatch, panel, sizes):
+    # the pivot loop over the whole matrix is the reference, byte for byte
+    if panel is not None:
+        monkeypatch.setattr(linalg, "_PANEL", panel)
+    for p, q in ((3, 3), (5, 5), (7, 7), (3, 9), (2, 16), (3, 81)):
+        rng = np.random.default_rng([p, q, sizes[0]])
+        m, n = (int(v) for v in rng.integers(*sizes, size=2))
+        a = _rank_deficient(rng, q, m, n)
+        limit = int(rng.integers(1, n))
+        seed = int(rng.integers(1 << 30))
+        got = _eliminations(a, p, q, limit, np.random.default_rng(seed))
+        with monkeypatch.context() as loop:
+            loop.setattr(linalg, "_PANEL", 1 << 30)
+            want = _eliminations(a, p, q, limit, np.random.default_rng(seed))
+        assert got.keys() == want.keys()
+        for name in want:
+            if isinstance(want[name], tuple):
+                assert got[name][1] == want[name][1], (p, q, name)
+                got[name], want[name] = got[name][0], want[name][0]
+            assert type(got[name]) is type(want[name]), (p, q, name)
+            assert np.array_equal(got[name], want[name]), (p, q, name)
+            assert np.asarray(got[name]).dtype == np.asarray(want[name]).dtype
+        if not isinstance(got["kernel"], str):
+            assert not (got["kernel"] @ a % q).any()
+        if q == p:
+            assert np.array_equal(linalg.kernel_basis(a, p), got["kernel"])
+            assert np.array_equal(linalg.row_reduce(a, p, limit, False)[0],
+                                  got["echelon_limit"])
 
 
 # ---------------------------------------------------------------------------

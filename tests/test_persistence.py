@@ -42,20 +42,6 @@ def dihedral_rep(points: int):
     return [rot, ref]
 
 
-def cyclic_product_rep(orders):
-    """Disjoint cycles, one generator per factor."""
-    total = sum(orders)
-    gens = []
-    start = 0
-    for m in orders:
-        perm = list(range(total))
-        for i in range(m):
-            perm[start + i] = start + (i + 1) % m
-        gens.append(tuple(perm))
-        start += m
-    return gens
-
-
 DIHEDRAL64_P2L = [
     [3, 2, 2, 2, 2],
     [0, 3, 2, 2, 2],
@@ -238,7 +224,7 @@ def test_recover_abelian_invariants():
 
 
 def test_recover_abelian_invariants_published_example():
-    g = group_from_permutations(cyclic_product_rep([2, 4, 4, 16]))
+    g = group_from_permutations(oracles.cyclic_product_rep([2, 4, 4, 16]))
     assert g.order == 512
     first = persistence_matrix(g, "Zp", 1)
     second = persistence_matrix(g, "Zp", 2)

@@ -19,6 +19,7 @@ from oracles import (
     act_on_rows,
     bar_homology_dims,
     bar_induced_rank,
+    cyclic_product_rep,
     fp_rank_echelon,
     free_module_matrix,
     full_differential,
@@ -56,6 +57,20 @@ def test_abelian_dims_match_kunneth():
     for perms, orders, p, n_max in cases:
         g = group_from_permutations(perms)
         assert homology_dims(g, n_max) == kunneth_dims_abelian(orders, p, n_max)
+
+
+def test_wide_radicals_match_kunneth():
+    # the level-3 radical of C3^4 is 2264 x 566, five column panels of
+    # the F_p eliminator
+    g = group_from_permutations(cyclic_product_rep([3] * 4))
+    assert homology_dims(g, 3) == kunneth_dims_abelian([3] * 4, 3, 3)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("orders", [[3] * 4, [5] * 3])
+def test_wide_radicals_match_kunneth_to_degree_four(orders):
+    g = group_from_permutations(cyclic_product_rep(orders))
+    assert homology_dims(g, 4) == kunneth_dims_abelian(orders, orders[0], 4)
 
 
 def test_dihedral_and_quaternion_dims():
