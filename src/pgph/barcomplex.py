@@ -11,6 +11,10 @@ with Z (`MinimalResolution.tensored`), D_n.  With e = v_p(|G|) + 1, p^(e-1)
 kills H_n(G, Z) for n >= 1, so H_n is read off a p-local Smith form of
 D_(n+1) mod p^e.  Cokernels also need the cycles Z_n mod p^e, the x with
 x D_n = 0 mod p^(2e) reduced mod p^e (p^(e-1) kills H_(n-1)); so E = 2e.
+Both the invariants of D_n and Z_n mod p^e come from one local
+elimination of [D_n | I] mod p^(2e) (`linalg._local_phases`): its pivots
+are the invariants, and the I part of the rows it leaves spans Z_n mod p^e
+because no invariant of D_n has valuation e or more.
 Along a chain of groups and links, as for one hom, e is the largest
 exponent, each group is resolved once mod p^E and each link lifted once.
 Two lifts of a hom are chain homotopic, so on cycles they differ mod p^e
@@ -101,13 +105,32 @@ def _invariants(matrix: np.ndarray, p: int, e: int) -> list[int]:
     return [d for d in linalg.snf_p_local(matrix, p, e) if d > 1]
 
 
-def _torsion(res: MinimalResolution, n: int, e: int) -> list[int]:
-    """Invariants of H_n(G, Z) for n >= 1, read modulo p^e."""
+def _cycles(lower: np.ndarray, p: int, e: int):
+    """(diagonal, cycles) of D = ``lower`` from one local elimination of
+    [D | I] mod p^(2e): the p-local Smith diagonal of D, and rows spanning
+    the cycles mod p^e, the x with x D = 0 mod p^(2e) reduced mod p^e.
+
+    A pivot row of phase v < e enters such an x only times p^(2e-v), which
+    vanishes mod p^e, so the I part of the rows left spans the cycles when no
+    invariant of D has valuation in [e, 2e).
+    """
+    width = lower.shape[1]
+    diag, rows = linalg._local_phases(
+        np.hstack([lower, np.eye(len(lower), dtype=lower.dtype)]), p, 2 * e, width)
+    if diag and diag[-1] >= p ** e:
+        raise ConsistencyError(f"a boundary has the invariant {diag[-1]}, beyond {p}^{e - 1}")
+    return diag, rows[:, width:] % p ** e
+
+
+def _homology(res: MinimalResolution, n: int, e: int):
+    """Invariants of H_n(G, Z) for n >= 1, read modulo p^e, and rows
+    spanning the cycles Z_n mod p^e."""
+    lower, cycles = _cycles(res.tensored(n), res.prime, e)
     upper = _invariants(res.tensored(n + 1), res.prime, e)
-    free = res.ranks[n] - len(_invariants(res.tensored(n), res.prime, e)) - len(upper)
+    free = res.ranks[n] - len(lower) - len(upper)
     if free:
         raise ConsistencyError(f"H_{n} of order {res.group.order} reads free rank {free}")
-    return upper
+    return upper, cycles
 
 
 def integral_homology(group: FiniteGroup, n: int,
@@ -130,18 +153,11 @@ def _chain_triples(groups, links, n: int, budgets: Budgets | None = None) -> dic
     resolutions = [_resolution(g, p, q) for g in groups]
     for res in resolutions:
         res.extend_to(n + 1, budgets)
-    torsion = [_torsion(res, n, e) for res in resolutions]
+    torsion, cycles = zip(*(_homology(res, n, e) for res in resolutions))
     maps = [_chain_map(hom, q).homology_matrix(n, budgets) % p ** e for hom in links]
     triples = {}
-    for i, res in enumerate(resolutions):
+    for i, pushed in enumerate(cycles):
         triples[i, i] = (torsion[i], torsion[i], [])
-        if i == len(links):
-            break
-        # the rows x of this kernel have x D_n = 0 mod p^(2e): Z_n mod p^e
-        lower = res.tensored(n)
-        lattice = linalg.int_kernel_basis(
-            np.vstack([lower, q * np.eye(lower.shape[1], dtype=np.int64)]))
-        pushed = lattice[:, : res.ranks[n]] % p ** e
         for j in range(i + 1, len(groups)):
             pushed = pushed @ maps[j - 1] % p ** e
             stacked = np.vstack([resolutions[j].tensored(n + 1), pushed])

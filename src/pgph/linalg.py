@@ -17,6 +17,12 @@ then one exact float64 product updates every other row.  The product
 sums at most `_PANEL` terms below (q - 1)^2, exact while that stays below
 2^53; past it, and on Python-int matrices, the pivot loop runs alone.
 Both ways give the same matrix and pivots, byte for byte.
+
+Integral invariants use that same unit-pivot elimination, one phase per
+power of p (`_local_phases`, `snf_p_local`).  `int_kernel_basis` and
+`snf_diagonal`, unimodular elimination over the integers, are references
+only: no package path calls them, the tests compare against them, and the
+benchmark's traced runs still wrap them.
 """
 
 from __future__ import annotations
@@ -320,8 +326,9 @@ def _to_int_rows(a) -> list[list[int]]:
 def snf_diagonal(a) -> list[int]:
     """Smith normal form diagonal (no transforms), divisibility chain order.
 
-    Exact on Python ints and meant for small matrices; integral invariants
-    are read with `snf_p_local`, which the tests check against this.
+    Exact on Python ints and meant for small matrices.  A reference only:
+    integral invariants are read with `snf_p_local`, which the tests check
+    against this; it stays here because the benchmark's traced runs wrap it.
     """
     M = _to_int_rows(a)
     m = len(M)
@@ -365,15 +372,36 @@ def _update_fits(scale, row, target_max: int) -> bool:
     return bound < _INT64_SAFE
 
 
+def _local_phases(a, p: int, top: int, width: int):
+    """Local elimination of ``a`` modulo p^top; (diagonal, rows left).
+
+    Phase v row-reduces the first ``width`` columns modulo p^(top-v) with
+    unit pivots, each giving one entry p^v, while further columns ride
+    along.  The pivot block is unitriangular and the rows left are zero in
+    its columns, so column operations split it off.  A column with no unit
+    never gets one, so the rows left vanish mod p in the first ``width``
+    columns, which are divided by p before the next phase.
+    """
+    diag: list[int] = []
+    rest = a % p ** top
+    for v in range(top):
+        mod = p ** (top - v)
+        reduced, pivots = _row_reduce_dense(_as_fp(rest, mod), p, mod, width,
+                                            reduce_above=False)
+        diag += [p ** v] * len(pivots)
+        rest = reduced[len(pivots) :]
+        rest[:, :width] //= p
+        if not rest[:, :width].any():
+            break
+    return diag, rest
+
+
 def snf_p_local(a, p: int, e: int) -> list[int]:
     """Smith diagonal over Z localized at p, read modulo p^e.
 
     Each invariant d of `a` becomes p^v_p(d) when v_p(d) < e and 0
-    otherwise, in the divisibility-chain order of `snf_diagonal`.  Phase v
-    row-reduces modulo p^(e-v) with unit pivots, each giving one entry p^v;
-    the pivot block is unitriangular and the rows left are zero in its
-    columns, so column operations split it off.  A column with no unit
-    never gets one, so the rows left vanish mod p and are divided by p.
+    otherwise, in divisibility-chain order; one `_local_phases` pass over
+    all columns.
     """
     arr = np.asarray(a)
     if arr.size == 0:
@@ -384,16 +412,7 @@ def snf_p_local(a, p: int, e: int) -> list[int]:
         # a pivot updates each row that meets its column: on a sparse tall
         # input (a bar boundary) far more rows than on its transpose
         arr = arr.T
-    diag: list[int] = []
-    rest = arr % p ** e
-    for v in range(e):
-        mod = p ** (e - v)
-        reduced, pivots = _row_reduce_dense(_as_fp(rest, mod), p, mod, arr.shape[1],
-                                            reduce_above=False)
-        diag += [p ** v] * len(pivots)
-        rest = reduced[len(pivots) :] // p
-        if not rest.any():
-            break
+    diag = _local_phases(arr, p, e, arr.shape[1])[0]
     return diag + [0] * (min(arr.shape) - len(diag))
 
 
@@ -435,7 +454,10 @@ def int_kernel_basis(a) -> np.ndarray:
     Row-reduces [a | I] with unimodular row operations, in int64 or, when
     that could overflow, in Python ints; rows whose a-part vanishes give
     the kernel.  The result spans a saturated sublattice, so any integer
-    kernel vector is an integer combination of these rows.
+    kernel vector is an integer combination of these rows.  A reference
+    only: the integral cycles come from `_local_phases`, which the tests
+    check against this; it stays here because the benchmark's traced runs
+    wrap it.
     """
     A = _to_int_rows(a)
     m = len(A)

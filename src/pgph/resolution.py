@@ -180,10 +180,10 @@ class MinimalResolution:
 
 
 def minimal_resolution(group: FiniteGroup, degree: int,
-                       prime: int | None = None,
                        budgets: Budgets | None = None) -> MinimalResolution:
-    """The cached minimal resolution of ``group``, computed through ``degree``."""
-    p = _prime(group) if prime is None else prime
+    """The cached minimal resolution of ``group`` over F_p, p the prime of
+    the p-group ``group``, computed through ``degree``."""
+    p = _prime(group)
     res = _resolution(group, p, p)
     # budgets go with the call, not the shared object, so a caller never
     # changes the limits of an extension already in flight
@@ -205,12 +205,11 @@ def _resolution(group: FiniteGroup, prime: int, modulus: int) -> MinimalResoluti
 
 
 def homology_dims(group: FiniteGroup, n_max: int,
-                  prime: int | None = None,
                   budgets: Budgets | None = None) -> list[int]:
     """dim H_n(G, F_p) for n = 0..n_max."""
     if n_max < 0:
         raise DataError(f"homology degree must be nonnegative: {n_max}")
-    res = minimal_resolution(group, n_max, prime=prime, budgets=budgets)
+    res = minimal_resolution(group, n_max, budgets=budgets)
     return list(res.ranks[: n_max + 1])
 
 

@@ -14,7 +14,7 @@ from pgph import (
     quotient,
 )
 from pgph import linalg, resolution
-from pgph.barcomplex import bar_boundary
+from pgph.barcomplex import _cycles, bar_boundary
 from pgph.catalog import bundled_catalog, bundled_group, bundled_order
 from pgph.config import Budgets
 from pgph.errors import BudgetExceededError, ConsistencyError, DataError
@@ -176,6 +176,91 @@ def test_exponent_too_small_raises(monkeypatch):
     monkeypatch.setattr(resolution, "_RESOLUTIONS", {})
     with pytest.raises(ConsistencyError, match="free rank 1"):
         integral_homology(group_from_permutations(Q8), 3)
+
+
+def _unimodular(rng, size):
+    u = np.eye(size, dtype=object)
+    for _ in range(2 * size if size > 1 else 0):
+        i, j = rng.choice(size, 2, replace=False)
+        u[i] += int(rng.randint(-2, 3)) * u[j]
+    return u[rng.permutation(size)]
+
+
+def _module(rows, p, e):
+    """The p-local Smith diagonal of the row span of ``rows`` in (Z/p^e)^b."""
+    return [d for d in linalg.snf_p_local(rows, p, e) if d]
+
+
+def _assert_cycles_match_the_reference(lower, p, e):
+    # x with x D = 0 mod p^(2e), from the unimodular integer kernel; two
+    # finite spans, one inside the other, agree when their diagonals do
+    b = len(lower)
+    q = p ** (2 * e)
+    lattice = linalg.int_kernel_basis(np.vstack([lower, q * np.eye(lower.shape[1], dtype=object)]))
+    reference = lattice[:, :b] % p ** e
+    diag, cycles = _cycles(lower, p, e)
+    assert cycles.shape[1] == b
+    assert diag == _module(lower, p, e)
+    both = np.vstack([reference, cycles])
+    assert _module(reference, p, e) == _module(cycles, p, e) == _module(both, p, e)
+
+
+def test_local_cycles_match_the_integer_kernel():
+    rng = np.random.RandomState(5)
+    for p, e in ((2, 1), (2, 3), (3, 2), (5, 2)):
+        for _ in range(25):
+            m, k = rng.randint(1, 7), rng.randint(1, 7)
+            diagonal = np.zeros((m, k), dtype=object)
+            for i in range(min(m, k)):
+                if rng.randint(4):
+                    # some zero invariants, and units prime to p
+                    diagonal[i, i] = p ** int(rng.randint(e)) * int(rng.choice([1, p + 1]))
+            lower = _unimodular(rng, m) @ diagonal @ _unimodular(rng, k)
+            _assert_cycles_match_the_reference(lower, p, e)
+
+
+def test_local_cycles_of_resolutions_match_the_integer_kernel():
+    for g in [e.group for e in bundled_order(8)] + [bundled_group("16.9"), bundled_group("27.3")]:
+        p = g.prime
+        e = 1 + round(np.log(g.order) / np.log(p))
+        res = resolution._resolution(g, p, p ** (2 * e))
+        res.extend_to(4)
+        for n in range(1, 4):
+            _assert_cycles_match_the_reference(res.tensored(n), p, e)
+
+
+def test_local_cycles_refuse_an_invariant_past_the_exponent():
+    # p^(e-1) kills the homology below, so an invariant p^v with e <= v < 2e
+    # is a defect, not a reading of the cycles
+    rng = np.random.RandomState(11)
+    for p, e, v in ((2, 2, 2), (2, 2, 3), (3, 3, 4)):
+        diagonal = np.diag([1, p, p ** v, 0]).astype(object)
+        lower = _unimodular(rng, 4) @ diagonal @ _unimodular(rng, 4)
+        with pytest.raises(ConsistencyError, match="invariant"):
+            _cycles(lower, p, e)
+
+
+def test_integral_path_needs_no_integer_reference(monkeypatch):
+    # the integer kernel and the exact Smith diagonal are test references
+    # only: the integral path runs on the unit-pivot eliminator alone
+    d4 = group_from_permutations(D4)
+    _, proj = quotient(d4, d4.center_elements())
+
+    def integral():
+        matrices = [integral_persistence_matrix(entry.group, "Zp", n).to_json()
+                    for entry in bundled_order(16) for n in (1, 2, 3)]
+        return matrices, [integral_induced_triple(proj, n) for n in (1, 2, 3)]
+
+    want = integral()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an integer reference was called")
+
+    monkeypatch.setattr(linalg, "int_kernel_basis", refuse)
+    monkeypatch.setattr(linalg, "snf_diagonal", refuse)
+    monkeypatch.setattr(resolution, "_RESOLUTIONS", {})
+    monkeypatch.setattr(resolution, "_CHAIN_MAPS", {})
+    assert integral() == want
 
 
 def test_triple_identity_and_cyclic_surjection():
