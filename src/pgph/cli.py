@@ -49,8 +49,11 @@ def _canonical(payload) -> str:
 
 def _emit(text: str, path: str | None) -> None:
     if path:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise DataError(f"cannot write {path}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 

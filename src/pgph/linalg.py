@@ -18,6 +18,14 @@ sums at most `_PANEL` terms below (q - 1)^2, exact while that stays below
 2^53; past it, and on Python-int matrices, the pivot loop runs alone.
 Both ways give the same matrix and pivots, byte for byte.
 
+The eliminators store a matrix mod q at the narrowest signed dtype that
+holds a row update, -(q-1)^2 .. q-1, and its reduction (`_fp_dtype`):
+int16 for q <= 181, then int32, then int64, then Python ints.  Narrow
+rows halve or quarter the element work of each update, and results are
+widened back to int64.  Reduction is a - q (a // q) (`_mod`): numpy
+vectorises floor division by a scalar but not the integer remainder, so
+this is several times cheaper than % and exact at every width.
+
 Integral invariants use that same unit-pivot elimination, one phase per
 power of p (`_local_phases`, `snf_p_local`).  `int_kernel_basis` and
 `snf_diagonal`, unimodular elimination over the integers, are references
@@ -67,20 +75,61 @@ def _product(left: np.ndarray, right: np.ndarray, q: int) -> np.ndarray:
     for lo in range(0, left.shape[0], rows):
         acc = out[lo : lo + rows]
         for s, part in parts:
-            # below 2^53 the float64 sums are exact integers, and an int64
-            # remainder is several times cheaper than a float64 one
+            # below 2^53 the float64 sums are exact integers; they are
+            # reduced at int64 by floor division (see `_mod`), several
+            # times cheaper than a float64 or an integer remainder
             acc += (left[lo : lo + rows, s : s + step].astype(np.float64) @ part).astype(np.int64)
-            acc %= q
+            _mod(acc, q)
     return out
 
 
+def _mod(a: np.ndarray, q: int) -> np.ndarray:
+    """Reduce ``a`` mod q in place, and return it.  numpy vectorises integer
+    floor division by a scalar but not the remainder, so a - q (a // q) is
+    the cheap form; Python-int arrays keep %.  The steps run in place on
+    one temporary: an expression on temporaries makes numpy walk the C
+    stack to elide them, which maps about 0.5 MB of library pages the
+    first time."""
+    if a.dtype == object:
+        a %= q
+    else:
+        quotient = a // q
+        quotient *= q
+        a -= quotient
+    return a
+
+
+def _fp_dtype(q: int):
+    """The narrowest signed dtype that holds a row update, -(q-1)^2 .. q-1,
+    and its reduction; object (Python ints) past int64."""
+    bound = (q - 1) ** 2 + q
+    for dtype, safe in ((np.int16, 1 << 15), (np.int32, 1 << 31), (np.int64, _INT64_SAFE)):
+        if bound < safe:
+            return dtype
+    return object
+
+
 def _as_fp(a, q: int) -> np.ndarray:
-    """A fresh C-ordered copy of ``a`` reduced mod q: int64, or Python ints
-    when a row update of entries below q could overflow int64."""
-    dtype = np.int64 if (q - 1) ** 2 + q < _INT64_SAFE else object
-    arr = np.array(_matrix(a), dtype=dtype, order="C")
-    arr %= q
-    return arr
+    """A fresh C-ordered copy of ``a`` reduced mod q at `_fp_dtype(q)`,
+    reduced at int64 first when ``a`` does not fit that dtype."""
+    src = _matrix(a)
+    dtype = _fp_dtype(q)
+    wide = dtype if dtype is object or np.can_cast(src.dtype, dtype) else np.int64
+    arr = _mod(np.array(src, dtype=wide, order="C"), q)
+    return arr if wide is dtype else arr.astype(dtype)
+
+
+def _widen(arr: np.ndarray) -> np.ndarray:
+    """A narrow mod-q matrix at int64; Python-int matrices as they are."""
+    return arr if arr.dtype == object else arr.astype(np.int64, copy=False)
+
+
+def _swap(arr: np.ndarray, i: int, j: int) -> None:
+    """Swap rows i and j in place: three row copies, several times cheaper
+    than a fancy-indexed swap."""
+    row = arr[i].copy()
+    arr[i] = arr[j]
+    arr[j] = row
 
 
 # ---------------------------------------------------------------------------
@@ -110,27 +159,34 @@ def _unpack_gf2(words: np.ndarray, n: int) -> np.ndarray:
 def _row_reduce_gf2(words: np.ndarray, limit: int, reduce_above: bool):
     m = words.shape[0]
     pivots = []
-    r = 0
-    for c in range(limit):
-        if r >= m:
-            break
+    r = c = 0
+    while c < limit and r < m:
         word, bit = divmod(c, 64)
+        # the next column with a one in the rows left: skip the empty ones
+        live = int(np.bitwise_or.reduce(words[r:, word])) >> bit
+        if not live:
+            c = (word + 1) * 64
+            continue
+        bit += (live & -live).bit_length() - 1
+        c = word * 64 + bit
+        if c >= limit:
+            break
         # one pass over the column finds the pivot and the rows to clear
         hot = (words[:, word] & np.uint64(1 << bit)) != 0
         hits = np.nonzero(hot[r:])[0]
-        if hits.size == 0:
-            continue
         pr = r + int(hits[0])
         if pr != r:
-            words[[r, pr]] = words[[pr, r]]
-        hot[pr] = hot[r] = False
-        if not reduce_above:
-            hot[:r] = False
-        if hot.any():
+            _swap(words, r, pr)
+        # the row swapped down is zero in this column
+        rows = r + hits[1:]
+        if reduce_above:
+            rows = np.concatenate([np.nonzero(hot[:r])[0], rows])
+        if rows.size:
             # the pivot row is zero in the words left of its pivot
-            words[hot, word:] ^= words[r, word:]
+            words[rows, word:] ^= words[r, word:]
         pivots.append(c)
         r += 1
+        c += 1
     return words, pivots
 
 
@@ -149,21 +205,24 @@ def _pivot_loop(arr: np.ndarray, p: int, q: int, limit: int, reduce_above: bool)
             continue
         pr = r + int(hits[0])
         if pr != r:
-            arr[[r, pr]] = arr[[pr, r]]
+            _swap(arr, r, pr)
             swaps.append((r, pr))
         inv = pow(int(arr[r, c]), -1, q)
         if inv != 1:
-            arr[r] = (arr[r] * inv) % q
-        if reduce_above:
-            mask = arr[:, c] != 0
-            mask[r] = False
+            arr[r] = _mod(arr[r] * inv, q)
+        if q == p:
+            # the row swapped down is zero in this column, and the pivot
+            # row is zero left of its pivot
+            rows, start = r + hits[1:], c
         else:
-            mask = np.zeros(m, dtype=bool)
-            mask[r + 1 :] = arr[r + 1 :, c] != 0
-        if mask.any():
-            # mod p the pivot row is zero left of its pivot
-            cols = slice(c if q == p else 0, None)
-            arr[mask, cols] = (arr[mask, cols] - np.outer(arr[mask, c], arr[r, cols])) % q
+            # rows with a non-unit in this column are cleared too
+            rows, start = r + 1 + np.nonzero(arr[r + 1 :, c])[0], 0
+        if reduce_above:
+            rows = np.concatenate([np.nonzero(arr[:r, c])[0], rows])
+        if rows.size:
+            block = arr[rows, start:]
+            block -= block[:, c - start, None] * arr[r, start:]
+            arr[rows, start:] = _mod(block, q)
         pivots.append(c)
         r += 1
     return pivots, swaps
@@ -188,7 +247,7 @@ def _row_reduce_dense(arr: np.ndarray, p: int, q: int, limit: int, reduce_above:
         if not found:
             continue
         for a, b in swaps:
-            arr[[r + a, r + b]] = arr[[r + b, r + a]]
+            _swap(arr, r + a, r + b)
         k = len(found)
         # mod p the picked rows, so top too, are zero left of the panel,
         # and the update leaves those columns alone; mod p^E they need not be
@@ -205,7 +264,7 @@ def _row_reduce_dense(arr: np.ndarray, p: int, q: int, limit: int, reduce_above:
             for s in range(lo, hi, step):
                 block = arr[s : min(s + step, hi), start:]
                 block -= _product(block[:, cols], top, q)
-                block %= q
+                _mod(block, q)
         pivots += [c0 + c for c in found]
         r += k
     return arr, pivots
@@ -218,8 +277,10 @@ def _echelon(src: np.ndarray, p: int, pivot_limit: int | None, reduce_above: boo
     limit = src.shape[1] if pivot_limit is None else pivot_limit
     if q == 2:
         # pack straight from the source dtype; a wide copy of a huge matrix
-        # can dwarf the packed working set
-        words = _pack_gf2((src % 2).astype(np.uint8, copy=False))
+        # can dwarf the packed working set.  Parity of integers is a
+        # bitwise and, many times cheaper than a remainder
+        bits = src & 1 if src.dtype.kind in "biu" else src % 2
+        words = _pack_gf2(bits.astype(np.uint8, copy=False))
         return _row_reduce_gf2(words, limit, reduce_above)
     return _row_reduce_dense(_as_fp(src, q), p, q, limit, reduce_above)
 
@@ -242,8 +303,7 @@ def _reduce(a, p: int, q: int, pivot_limit: int | None = None, reduce_above: boo
     column without a unit leaves a row without a pivot nonzero mod q."""
     src = _matrix(a)
     work, pivots = _echelon(src, p, pivot_limit, reduce_above, q)
-    if q == 2:
-        work = _unpack_gf2(work, src.shape[1])
+    work = _unpack_gf2(work, src.shape[1]) if q == 2 else _widen(work)
     if q != p and work[len(pivots) :, :pivot_limit].any():
         raise ValueError(f"a column has no unit pivot mod {q}")
     return work, pivots
@@ -279,7 +339,7 @@ def _kernel_basis_mod(a, p: int, q: int) -> np.ndarray:
     # free column comes first
     flipped = basis[::-1, ::-1]
     flipped[np.arange(len(free)), free] = 1
-    flipped[:, pivots] = (-reduced[: len(pivots), free].T) % q
+    flipped[:, pivots] = _mod(-reduced[: len(pivots), free].T, q)
     return basis
 
 
@@ -294,8 +354,9 @@ def solve(a, b, p: int):
 
 def _solve_mod(a, b, p: int, q: int):
     """`solve` mod q, a power of p; see `_reduce`."""
-    arr = _as_fp(a, q)
-    rhs = np.asarray(b, dtype=np.int64) % q
+    arr = _matrix(a)
+    # both sides are reduced mod q once, by the elimination
+    rhs = np.asarray(b, dtype=np.int64)
     single = rhs.ndim == 1
     if single:
         rhs = rhs[None, :]
@@ -393,7 +454,7 @@ def _local_phases(a, p: int, top: int, width: int):
         rest[:, :width] //= p
         if not rest[:, :width].any():
             break
-    return diag, rest
+    return diag, _widen(rest)
 
 
 def snf_p_local(a, p: int, e: int) -> list[int]:

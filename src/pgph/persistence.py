@@ -303,7 +303,9 @@ def classify(catalog, functor: str, max_degree: int,
     members of each class, and gives two summary statistics: stableT, one
     more than the last degree whose addition strictly refined the partition,
     and the strongest single degree (most classes, then smallest maximum
-    class, ties resolved toward the higher degree).
+    class, ties resolved toward the higher degree).  ``workers`` caps the
+    thread pool; None or 0 gives one thread per group up to the CPU count,
+    and a negative count is a DataError.
     """
     if isinstance(catalog, Mapping):
         pairs = [(str(k), v) for k, v in catalog.items()]
@@ -315,6 +317,8 @@ def classify(catalog, functor: str, max_degree: int,
         raise DataError("duplicate group names in catalog")
     if max_degree < 1:
         raise DataError(f"max degree must be at least 1: {max_degree}")
+    if workers is not None and workers < 0:
+        raise DataError(f"workers must not be negative: {workers}")
 
     def job(item):
         name, group = item

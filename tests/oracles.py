@@ -57,6 +57,33 @@ def kernel_vectors_mod_p(rows, p):
     return out
 
 
+def rref_mod_p(rows, p, limit=None):
+    """Gauss-Jordan elimination mod p on Python ints; (rows, pivot columns).
+
+    Pivots are sought in the first ``limit`` columns (all by default), left
+    to right.  Each takes the first row at or below the current one that is
+    nonzero there, swaps it up, scales it to 1 and clears the column in
+    every other row; later columns ride along.
+    """
+    M = [[int(x) % p for x in row] for row in rows]
+    limit = (len(M[0]) if M else 0) if limit is None else limit
+    pivots = []
+    for c in range(limit):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(M)) if M[i][c]), None)
+        if pr is None:
+            continue
+        M[r], M[pr] = M[pr], M[r]
+        inv = pow(M[r][c], -1, p)
+        M[r] = [x * inv % p for x in M[r]]
+        for i, row in enumerate(M):
+            if i != r and row[c]:
+                f = row[c]
+                M[i] = [(x - f * y) % p for x, y in zip(row, M[r])]
+        pivots.append(c)
+    return M, pivots
+
+
 def det_exact(rows):
     """Exact integer determinant (Bareiss, fraction free)."""
     n = len(rows)

@@ -49,6 +49,19 @@ def test_data_errors_exit_four(capsys, tmp_path):
     # window starts below the smallest family member
     assert run(capsys, ["coclass", "--family", "dihedral",
                         "--levels", "2..5", "--degree", "1"])[0] == 4
+    # an output path in a missing directory is refused, not a traceback
+    missing = tmp_path / "no" / "dir"
+    for argv in (["matrix", "--group", "catalog:8.3", "--series", "L",
+                  "--degree", "1", "--json", str(missing / "x.json")],
+                 ["barcode", "--group", "catalog:8.3", "--series", "L",
+                  "--degree", "1", "--svg", str(missing / "a.svg")],
+                 ["integral", "--group", "catalog:8.3", "--series", "L",
+                  "--max-degree", "1", "--json", str(missing / "i.json")],
+                 ["classify", "--catalog", "bundled8", "--series", "L",
+                  "--max-degree", "1", "--csv", str(missing / "x.csv")]):
+        code, _, err = run(capsys, argv)
+        assert code == 4 and "cannot write" in err, argv
+        assert "Traceback" not in err
 
 
 def test_budget_exhaustion_exits_three(capsys, monkeypatch, cold_caches):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from pgph import linalg
 from oracles import (det_exact, kernel_vectors_mod_p, mat_mul_int, rank_mod_p,
-                     smith_diagonal_by_minors, smith_normal_form)
+                     rref_mod_p, smith_diagonal_by_minors, smith_normal_form)
 
 
 def test_rank_hand_values():
@@ -99,10 +99,15 @@ def test_elimination_mod_a_prime_power():
     # with a unit pivot in every column both are exact mod q
     rng = np.random.default_rng(11)
     checked = 0
-    for p, q in ((2, 16), (3, 81), (5, 5 ** 6)):
+    # 13^2 and 3^5 are stored at int16 and int32, 3^10 at int64, and 223^4
+    # in Python ints
+    for p, q in ((2, 16), (3, 81), (5, 5 ** 6), (13, 13 ** 2), (3, 3 ** 5),
+                 (3, 3 ** 10), (223, 223 ** 4)):
         for _ in range(30):
             m = int(rng.integers(1, 7))
             a = rng.integers(0, q, size=(m, int(rng.integers(0, m + 1))))
+            if q > 1 << 31:
+                a = a.astype(object)  # products of entries overflow int64
             if linalg.rank(a, p) < a.shape[1]:
                 continue
             kernel = linalg._kernel_basis_mod(a, p, q)
@@ -142,10 +147,11 @@ def test_packed_solve_round_trip():
     assert not got[:, free].any()
 
 
-def _rank_deficient(rng, q, m, n):
-    """X @ Y mod q of rank r < min(m, n) mod p, with some columns replaced
-    by multiples of earlier ones so that pivots spread across panels."""
-    r = int(rng.integers(1, min(m, n)))
+def _rank_deficient(rng, q, m, n, r=None):
+    """X @ Y mod q of rank r < min(m, n) mod p (random by default), with
+    some columns replaced by multiples of earlier ones so that pivots spread
+    across panels."""
+    r = int(rng.integers(1, min(m, n))) if r is None else r
     a = rng.integers(0, q, size=(m, r)) @ rng.integers(0, q, size=(r, n)) % q
     for j in rng.choice(np.arange(1, n), size=n // 3, replace=False):
         a[:, j] = a[:, rng.integers(0, j)] * rng.integers(0, q) % q
@@ -185,7 +191,8 @@ def test_panels_match_the_pivot_loop(monkeypatch, panel, sizes):
     # the pivot loop over the whole matrix is the reference, byte for byte
     if panel is not None:
         monkeypatch.setattr(linalg, "_PANEL", panel)
-    for p, q in ((3, 3), (5, 5), (7, 7), (3, 9), (2, 16), (3, 81)):
+    for p, q in ((3, 3), (5, 5), (7, 7), (3, 9), (2, 16), (3, 81),
+                 (13, 169), (181, 181), (3, 243), (191, 191)):
         rng = np.random.default_rng([p, q, sizes[0]])
         m, n = (int(v) for v in rng.integers(*sizes, size=2))
         a = _rank_deficient(rng, q, m, n)
@@ -209,6 +216,42 @@ def test_panels_match_the_pivot_loop(monkeypatch, panel, sizes):
             assert np.array_equal(linalg.kernel_basis(a, p), got["kernel"])
             assert np.array_equal(linalg.row_reduce(a, p, limit, False)[0],
                                   got["echelon_limit"])
+
+
+@pytest.mark.parametrize("p, width, m, n, limit", [
+    (2, None, 60, 200, 150),  # four packed words; the limit ends mid-word
+    (181, np.int16, 40, 50, 37),  # the last int16 prime
+    (191, np.int32, 40, 50, 37),  # the first int32 prime
+    (46337, np.int32, 40, 50, 37),  # the last int32 prime
+    (46349, np.int64, 40, 50, 37),
+])
+def test_row_reduce_matches_the_rref_oracle(monkeypatch, p, width, m, n, limit):
+    # the oracle follows the same rule, first usable row wins, so its RREF
+    # is the eliminator's entry for entry at every storage width, through
+    # the pivot loop alone and through panels of 8
+    if width is not None:
+        assert linalg._fp_dtype(p) is width
+    rng = np.random.default_rng([p, m, n])
+    a = _rank_deficient(rng, p, m, n, r=3 * m // 4)
+    a[:, rng.random(n) < 0.7] = 0  # spreads the pivots past the limit
+    if p == 2:
+        # a packed word with no pivot, then one at the next word's first bit
+        a[:, 64:128] = 0
+        a[:, 128] = 1
+    inputs = [a + p * rng.integers(-p, p, size=a.shape)]  # reduced on the way in
+    if p < 256:
+        inputs.append(a.astype(np.uint8))
+    for panel in (None, 8) if p > 2 else (None,):
+        with monkeypatch.context() as patch:
+            if panel is not None:
+                patch.setattr(linalg, "_PANEL", panel)
+            for src in inputs:
+                for lim in (None, limit):
+                    want, pivots = rref_mod_p(src.tolist(), p, lim)
+                    got, got_pivots = linalg.row_reduce(src, p, lim)
+                    assert got.dtype == np.int64
+                    assert got_pivots == pivots, (panel, src.dtype, lim)
+                    assert got.tolist() == want, (panel, src.dtype, lim)
 
 
 # ---------------------------------------------------------------------------

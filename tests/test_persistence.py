@@ -9,7 +9,7 @@ bar code are pinned to their published values.
 import numpy as np
 import pytest
 
-from pgph import resolution
+from pgph import persistence, resolution
 from pgph.catalog import bundled_order
 from pgph.config import Budgets
 from pgph.errors import BudgetExceededError, DataError
@@ -300,6 +300,15 @@ def test_classify_all_failed_raises_first_groups_own_error(cold_caches):
     with pytest.raises(BudgetExceededError, match="^small: resolution radical"):
         classify(catalog, "Zp", 1, integral=True,
                  budgets=Budgets(fp_entries=10**6, int_entries=5))
+
+
+def test_classify_rejects_negative_workers(monkeypatch):
+    # a typed refusal before any group is fingerprinted
+    def started(*args, **kwargs):
+        raise AssertionError("work started")
+    monkeypatch.setattr(persistence, "fingerprint", started)
+    with pytest.raises(DataError, match="workers must not be negative: -1"):
+        classify({"c4": group_from_permutations(C4)}, "L", 1, workers=-1)
 
 
 def test_classify_same_report_for_any_worker_count(monkeypatch):
