@@ -14,6 +14,7 @@ exceeded, 4 bad data, 5 failed internal consistency check.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import re
 import sys
@@ -47,15 +48,21 @@ def _canonical(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _emit(text: str, path: str | None) -> None:
-    if path:
-        try:
-            with open(path, "w", encoding="utf-8") as handle:
+def _emit(*outputs: tuple[str, str | None]) -> None:
+    """Write each (text, path) pair, a None path to stdout.  Every file is
+    opened before any text is written, so a path that cannot be opened
+    leaves every target unwritten, stdout included."""
+    path = None
+    try:
+        with contextlib.ExitStack() as stack:
+            handles = []
+            for _, path in outputs:
+                handles.append(stack.enter_context(open(path, "w", encoding="utf-8"))
+                               if path else sys.stdout)
+            for (text, path), handle in zip(outputs, handles):
                 handle.write(text)
-        except OSError as exc:
-            raise DataError(f"cannot write {path}: {exc.strerror or exc}") from exc
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _resolve_group(token: str):
@@ -90,7 +97,7 @@ def _parse_levels(text: str) -> tuple[int, int]:
 def _cmd_matrix(args) -> int:
     name, group = _resolve_group(args.group)
     pm = persistence_matrix(group, args.series, args.degree, name=name)
-    _emit(_canonical(pm.to_json()), args.json)
+    _emit((_canonical(pm.to_json()), args.json))
     return EXIT_OK
 
 
@@ -99,12 +106,12 @@ def _cmd_barcode(args) -> int:
     pm = persistence_matrix(group, args.series, args.degree, name=name)
     bc = barcode(pm)
     if args.svg:
-        _emit(render_svg(bc), args.svg)
+        _emit((render_svg(bc), args.svg))
     elif args.txt:
         sys.stdout.write(barcode_text(bc))
     else:
         payload = {"group": name, "functor": args.series, **bc.to_json()}
-        _emit(_canonical(payload), args.json)
+        _emit((_canonical(payload), args.json))
     return EXIT_OK
 
 
@@ -124,8 +131,7 @@ def _cmd_classify(args) -> int:
     report = classify(pairs, args.series, args.max_degree,
                       integral=args.integral)
     report["catalog"] = args.catalog
-    _emit(_canonical(report), args.json)
-    _emit(_classify_csv(report), args.csv)
+    _emit((_canonical(report), args.json), (_classify_csv(report), args.csv))
     return EXIT_OK
 
 
@@ -137,14 +143,14 @@ def _cmd_integral(args) -> int:
         integral_persistence_matrix(group, args.series, n, name=name).to_json()
         for n in range(1, args.max_degree + 1)]
     payload = {"group": name, "functor": args.series, "matrices": matrices}
-    _emit(_canonical(payload), args.json)
+    _emit((_canonical(payload), args.json))
     return EXIT_OK
 
 
 def _cmd_coclass(args) -> int:
     l_min, l_max = args.levels
     report = tree_persistence(args.family, args.degree, l_min, l_max)
-    _emit(_canonical(report), args.json)
+    _emit((_canonical(report), args.json))
     return EXIT_OK
 
 
@@ -157,7 +163,7 @@ def _cmd_homology(args) -> int:
         reference = [bar_homology_fp(group, p, n) for n in range(args.max_degree + 1)]
         payload["oracle"] = reference
         payload["agrees"] = reference == dims
-    _emit(_canonical(payload), args.json)
+    _emit((_canonical(payload), args.json))
     return EXIT_OK
 
 

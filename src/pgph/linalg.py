@@ -13,18 +13,25 @@ p, inverted mod q), and raise ValueError where a column has no unit left.
 GF(2) is eliminated on bit-packed rows.  Other moduli go through column
 panels of `_PANEL` columns: one pivot at a time on the panel's columns,
 which picks the same rows and pivots J as a pass over the whole matrix,
-then one exact float64 product updates every other row.  The product
-sums at most `_PANEL` terms below (q - 1)^2, exact while that stays below
-2^53; past it, and on Python-int matrices, the pivot loop runs alone.
-Both ways give the same matrix and pivots, byte for byte.
+then one exact product (`_product`) updates every other row.  The
+product sums at most `_PANEL` terms below (q - 1)^2, exact in float64
+while that stays below 2^53; past it, and on Python-int matrices, the
+pivot loop runs alone.  Both ways give the same matrix and pivots, byte
+for byte.
 
-The eliminators store a matrix mod q at the narrowest signed dtype that
-holds a row update, -(q-1)^2 .. q-1, and its reduction (`_fp_dtype`):
-int16 for q <= 181, then int32, then int64, then Python ints.  Narrow
-rows halve or quarter the element work of each update, and results are
-widened back to int64.  Reduction is a - q (a // q) (`_mod`): numpy
-vectorises floor division by a scalar but not the integer remainder, so
-this is several times cheaper than % and exact at every width.
+Two widths are in play.  Storage: a matrix mod q lives between
+eliminations at the narrowest unsigned dtype that holds 0 .. q-1
+(`_store_dtype`): uint8 for q <= 256, then uint16, uint32, and Python
+ints where the working width is.  The private eliminators and `_product`
+take and return that width.  Working: inside an elimination the matrix
+is copied to the narrowest signed dtype that holds a row update,
+-(q-1)^2 .. q-1, and its reduction (`_fp_dtype`): int16 for q <= 181,
+then int32, int64, Python ints; `_product` sums in float32 or float64
+and reduces each row chunk at int64.  Reduction is a - q (a // q)
+(`_mod`): numpy vectorises floor division by a scalar but not the
+integer remainder, so this is several times cheaper than % and exact at
+every width.  The public `row_reduce`, `kernel_basis` and `solve` widen
+their results to int64 (`_widen`), so a caller's arithmetic cannot wrap.
 
 Integral invariants use that same unit-pivot elimination, one phase per
 power of p (`_local_phases`, `snf_p_local`).  `int_kernel_basis` and
@@ -62,24 +69,31 @@ def _matrix(a) -> np.ndarray:
 
 
 def _product(left: np.ndarray, right: np.ndarray, q: int) -> np.ndarray:
-    """left @ right mod q, exactly: float64 products of row chunks over inner
-    chunks short enough that no partial sum reaches 2^53, or Python ints
-    for a q so large that a single product can."""
+    """left @ right mod q, exactly, at `_store_dtype(q)`.  Row chunks are
+    multiplied in float32 when inner (q-1)^2 < 2^24, else in float64 over
+    inner chunks short enough that no partial sum reaches 2^53; each chunk
+    is reduced at int64 and written into the narrow result.  A q so large
+    that a single product can reach 2^53 multiplies Python ints."""
+    store = _store_dtype(q)
     if (q - 1) ** 2 >= 1 << 53:
-        return left.astype(object) @ right.astype(object) % q
-    step = ((1 << 53) - 1) // (q - 1) ** 2
+        return (left.astype(object) @ right.astype(object) % q).astype(store)
     inner = left.shape[1]
-    parts = [(s, right[s : s + step].astype(np.float64)) for s in range(0, inner, step)]
-    out = np.zeros((left.shape[0], right.shape[1]), dtype=np.int64)
+    if inner * (q - 1) ** 2 < 1 << 24:
+        # every partial sum is a non-negative integer below 2^24: exact
+        real, step = np.float32, max(inner, 1)
+    else:
+        real, step = np.float64, ((1 << 53) - 1) // (q - 1) ** 2
+    parts = [(s, right[s : s + step].astype(real)) for s in range(0, inner, step)]
+    out = np.empty((left.shape[0], right.shape[1]), dtype=store)
     rows = max(1, _CHUNK // max(inner, 1))
     for lo in range(0, left.shape[0], rows):
-        acc = out[lo : lo + rows]
+        acc = np.zeros((min(rows, left.shape[0] - lo), right.shape[1]), dtype=np.int64)
         for s, part in parts:
-            # below 2^53 the float64 sums are exact integers; they are
-            # reduced at int64 by floor division (see `_mod`), several
-            # times cheaper than a float64 or an integer remainder
-            acc += (left[lo : lo + rows, s : s + step].astype(np.float64) @ part).astype(np.int64)
+            # the exact float sums are reduced at int64 by floor division
+            # (see `_mod`), several times cheaper than a float remainder
+            acc += (left[lo : lo + rows, s : s + step].astype(real) @ part).astype(np.int64)
             _mod(acc, q)
+        out[lo : lo + rows] = acc
     return out
 
 
@@ -107,6 +121,12 @@ def _fp_dtype(q: int):
         if bound < safe:
             return dtype
     return object
+
+
+def _store_dtype(q: int):
+    """The narrowest unsigned dtype that holds 0 .. q-1, in which matrices
+    mod q are kept between eliminations; object where `_fp_dtype` is."""
+    return object if _fp_dtype(q) is object else np.min_scalar_type(q - 1)
 
 
 def _as_fp(a, q: int) -> np.ndarray:
@@ -137,23 +157,29 @@ def _swap(arr: np.ndarray, i: int, j: int) -> None:
 
 
 def _pack_gf2(a: np.ndarray) -> np.ndarray:
-    """Pack 0/1 rows into uint64 words, 64 columns per word, little bit order."""
+    """Pack rows mod 2 into uint64 words, 64 columns per word, little bit
+    order.  Row chunks of `_CHUNK` entries at a time, so no copy of the
+    whole of ``a`` is made: for a huge matrix that would dwarf the packed
+    words.  Parity of integers is a bitwise and, many times cheaper than a
+    remainder."""
     m, n = a.shape
-    if n == 0:
-        return np.zeros((m, 0), dtype=np.uint64)
-    packed = np.packbits(a.astype(np.uint8, copy=False), axis=1, bitorder="little")
-    words = np.zeros((m, -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
-    words[:, : packed.shape[1]] = packed
+    words = np.zeros((m, -(-n // 64) * 8), dtype=np.uint8)
+    rows = max(1, _CHUNK // max(n, 1))
+    for lo in range(0, m, rows):
+        block = a[lo : lo + rows]
+        bits = block & 1 if block.dtype.kind in "biu" else block % 2
+        packed = np.packbits(bits.astype(np.uint8, copy=False), axis=1, bitorder="little")
+        words[lo : lo + rows, : packed.shape[1]] = packed
     return words.view(np.uint64)
 
 
 def _unpack_gf2(words: np.ndarray, n: int) -> np.ndarray:
+    """The 0/1 matrix of packed words, at uint8."""
     m = words.shape[0]
     if n == 0:
-        return np.zeros((m, 0), dtype=np.int64)
+        return np.zeros((m, 0), dtype=np.uint8)
     as_bytes = np.ascontiguousarray(words).view(np.uint8)
-    bits = np.unpackbits(as_bytes, axis=1, count=n, bitorder="little")
-    return bits.astype(np.int64)
+    return np.unpackbits(as_bytes, axis=1, count=n, bitorder="little")
 
 
 def _row_reduce_gf2(words: np.ndarray, limit: int, reduce_above: bool):
@@ -276,12 +302,7 @@ def _echelon(src: np.ndarray, p: int, pivot_limit: int | None, reduce_above: boo
     is bit packed (see `_pack_gf2`)."""
     limit = src.shape[1] if pivot_limit is None else pivot_limit
     if q == 2:
-        # pack straight from the source dtype; a wide copy of a huge matrix
-        # can dwarf the packed working set.  Parity of integers is a
-        # bitwise and, many times cheaper than a remainder
-        bits = src & 1 if src.dtype.kind in "biu" else src % 2
-        words = _pack_gf2(bits.astype(np.uint8, copy=False))
-        return _row_reduce_gf2(words, limit, reduce_above)
+        return _row_reduce_gf2(_pack_gf2(src), limit, reduce_above)
     return _row_reduce_dense(_as_fp(src, q), p, q, limit, reduce_above)
 
 
@@ -295,15 +316,20 @@ def row_reduce(a, p: int, pivot_limit: int | None = None, reduce_above: bool = T
     with no pivot end up at the bottom, zero in the first `pivot_limit`
     columns.  Fully deterministic: first usable row wins each pivot.
     """
-    return _reduce(a, p, p, pivot_limit, reduce_above)
+    work, pivots = _reduce(a, p, p, pivot_limit, reduce_above)
+    return _widen(work), pivots
 
 
 def _reduce(a, p: int, q: int, pivot_limit: int | None = None, reduce_above: bool = True):
-    """`row_reduce` mod q, a power of p, with unit pivots; ValueError where a
-    column without a unit leaves a row without a pivot nonzero mod q."""
+    """`row_reduce` mod q, a power of p, with unit pivots, at
+    `_store_dtype(q)`; ValueError where a column without a unit leaves a
+    row without a pivot nonzero mod q."""
     src = _matrix(a)
     work, pivots = _echelon(src, p, pivot_limit, reduce_above, q)
-    work = _unpack_gf2(work, src.shape[1]) if q == 2 else _widen(work)
+    if q == 2:
+        work = _unpack_gf2(work, src.shape[1])
+    else:
+        work = work.astype(_store_dtype(q), copy=False)
     if q != p and work[len(pivots) :, :pivot_limit].any():
         raise ValueError(f"a column has no unit pivot mod {q}")
     return work, pivots
@@ -326,7 +352,7 @@ def kernel_basis(a, p: int) -> np.ndarray:
     is nonzero only at its pivot and at free columns of lower original
     index, so the free-variable basis already is the unique RREF.
     """
-    return _kernel_basis_mod(a, p, p)
+    return _widen(_kernel_basis_mod(a, p, p))
 
 
 def _kernel_basis_mod(a, p: int, q: int) -> np.ndarray:
@@ -334,12 +360,18 @@ def _kernel_basis_mod(a, p: int, q: int) -> np.ndarray:
     reduced, pivots = _reduce(_matrix(a).T[:, ::-1], p, q)
     m = reduced.shape[1]
     free = np.setdiff1d(np.arange(m), pivots)
-    basis = np.zeros((len(free), m), dtype=np.int64)
+    basis = np.zeros((len(free), m), dtype=reduced.dtype)
     # filled in reversed coordinates, so the row of the lowest original
     # free column comes first
     flipped = basis[::-1, ::-1]
     flipped[np.arange(len(free)), free] = 1
-    flipped[:, pivots] = _mod(-reduced[: len(pivots), free].T, q)
+    # minus the pivot rows' free part, mod q at their own unsigned dtype:
+    # (q - 1) - x + 1, with q taken to 0; a dtype of exactly q values,
+    # uint8 for q = 256, wraps it to 0 itself
+    negated = (q - 1) - reduced[: len(pivots), free].T
+    negated += 1
+    negated[negated == q] = 0
+    flipped[:, pivots] = negated
     return basis
 
 
@@ -349,14 +381,17 @@ def solve(a, b, p: int):
     Returns the particular solution with free coordinates zero (one row per
     row of b).  Raises ValueError when the system is inconsistent.
     """
-    return _solve_mod(a, b, p, p)
+    return _widen(_solve_mod(a, b, p, p))
 
 
 def _solve_mod(a, b, p: int, q: int):
     """`solve` mod q, a power of p; see `_reduce`."""
     arr = _matrix(a)
-    # both sides are reduced mod q once, by the elimination
-    rhs = np.asarray(b, dtype=np.int64)
+    # both sides are reduced mod q once, by the elimination; an integer
+    # right-hand side keeps its dtype, so narrow sides stay narrow
+    rhs = np.asarray(b)
+    if rhs.dtype.kind not in "iu":
+        rhs = rhs.astype(np.int64)
     single = rhs.ndim == 1
     if single:
         rhs = rhs[None, :]
@@ -368,9 +403,8 @@ def _solve_mod(a, b, p: int, q: int):
     reduced, pivots = _reduce(aug, p, q, pivot_limit=m)
     if np.any(reduced[len(pivots) :, m:]):
         raise ValueError("inconsistent linear system")
-    x = np.zeros((k, m), dtype=np.int64)
-    for row_idx, pc in enumerate(pivots):
-        x[:, pc] = reduced[row_idx, m:]
+    x = np.zeros((k, m), dtype=reduced.dtype)
+    x[:, pivots] = reduced[: len(pivots), m:].T
     return x[0] if single else x
 
 

@@ -11,23 +11,29 @@ Each level is built in the coordinates of the kernel below it.  Let K_n
 = ker d_n be held in its unique RREF with leading columns lead[n].  The
 rows of d_n lie in K_{n-1}, where x -> x[lead[n-1]] is injective, so d_n
 is replaced by D_n = d_n[:, lead[n-1]], with the same kernel and the same
-solutions.  K_n is read off one RREF of D_n (`linalg.kernel_basis`).  In
-K_n-coordinates its rows are the identity and each radical block (g - 1)
-K_n is a column gather minus the identity, for the minimal generators g.
-The new generators are the rows of K_n outside the span of the radical
-I K_n and of the rows before them: the coordinates at which no vector of
-the radical ends, read off one echelon pass over the radical with its
-columns reversed (`linalg.pivot_columns`).  Chain maps are lifted the same
-way, against the target's D_n.  Each level checks K_n D_n = 0 exactly,
-that D_n has full column rank (exactness), and that K_n has zero block
-sums (minimality of the level before); a failure is a ConsistencyError.
-Each call checks its budgets against every level it needs, cached or not,
-so whether a call is refused does not depend on the cache.
+solutions.  K_n is read off one RREF of D_n (`linalg._kernel_basis_mod`).
+In K_n-coordinates its rows are the identity and each radical block
+(g - 1) K_n is a column gather minus the identity, for the minimal
+generators g.  The new generators are the rows of K_n outside the span
+of the radical I K_n and of the rows before them: the coordinates at
+which no vector of the radical ends, read off one echelon pass over the
+radical with its columns reversed (`linalg.pivot_columns`).  Chain maps
+are lifted the same way, against the target's D_n (`linalg._solve_mod`).
+Each level checks K_n D_n = 0 exactly, that D_n has full column rank
+(exactness), and that K_n has zero block sums (minimality of the level
+before); a failure is a ConsistencyError.  Each call checks its budgets
+against every level it needs, cached or not, so whether a call is
+refused does not depend on the cache.
 
 The same engine resolves Z/q over (Z/q)[G], q = p^E: a minimal Z_p[G]-
 resolution reduced mod q, with the ranks b_n.  Kernels and lifts are
 eliminated mod q with unit pivots; lead, the radical pick and the
 minimality check read K_n mod p.  These levels charge the integer budget.
+
+Every matrix mod q here, D_n, K_n, the generator images and the levels
+of chain maps, is stored at `linalg._store_dtype(q)`: uint8 for q <= 256.
+What leaves the module, `tensored`, `homology_matrix` and so
+`induced_map`, is summed and returned at int64.
 
 Free modules are flattened to row vectors: a vector v of length
 b * |G| has v[i * |G| + g] the coefficient of the basis element g e_i,
@@ -76,8 +82,10 @@ def _prime(*groups: FiniteGroup) -> int:
 
 
 def _block_sums(rows: np.ndarray, size: int, q: int) -> np.ndarray:
-    """Free-module rows tensored with Z, mod q: their |G|-block sums."""
-    return rows.reshape(len(rows), rows.shape[1] // size, size).sum(axis=2) % q
+    """Free-module rows tensored with Z, mod q: their |G|-block sums, at
+    int64 whatever the dtype of ``rows``."""
+    blocks = rows.reshape(len(rows), rows.shape[1] // size, size)
+    return blocks.sum(axis=2, dtype=np.int64) % q
 
 
 class MinimalResolution:
@@ -111,7 +119,7 @@ class MinimalResolution:
         """
         size = self.group.order
         if n == 0:
-            return np.ones((size, 1), dtype=np.int64)
+            return np.ones((size, 1), dtype=linalg._store_dtype(self.modulus))
         gens, lead = self.gen_images[n], self.lead[n - 1]
         cols = _acting_columns(self.group, lead, range(size))
         # row (i, g) sits at i * size + g
@@ -125,12 +133,12 @@ class MinimalResolution:
         """Level n + 1, from D_n."""
         p, q = self.prime, self.modulus
         diff = self.coordinate_differential(n)
-        kernel = (linalg.kernel_basis(diff, p) if q == p
-                  else linalg._kernel_basis_mod(diff, p, q))
+        kernel = linalg._kernel_basis_mod(diff, p, q)
         gens = self.group.minimal_generators()
         k = len(kernel)
-        radical = np.empty((len(gens) * k, k), dtype=np.min_scalar_type(p - 1))
-        residues = (kernel % p if q != p else kernel).astype(radical.dtype)
+        radical = np.empty((len(gens) * k, k), dtype=linalg._store_dtype(p))
+        # mod p the kernel already has the radical's dtype: a view, not a copy
+        residues = (kernel % p if q != p else kernel).astype(radical.dtype, copy=False)
         if linalg._product(kernel, diff, q).any():
             raise ConsistencyError(f"a kernel row of d_{n} is not in its kernel")
         if k + diff.shape[1] != diff.shape[0]:
@@ -225,7 +233,7 @@ class _ChainMap:
         self.hom = hom
         self.source = source
         self.target = target
-        start = np.zeros((1, target.group.order), dtype=np.int64)
+        start = np.zeros((1, target.group.order), dtype=linalg._store_dtype(target.modulus))
         start[0, 0] = 1                             # e_1 -> e_1
         self.levels = [start]
         self._lock = threading.RLock()
@@ -240,9 +248,7 @@ class _ChainMap:
         cols = _acting_columns(self.target.group, lead, self.hom.mapping)
         previous = x[:, cols].reshape(len(x) * self.source.group.order, len(lead))
         targets = linalg._product(self.source.gen_images[n], previous, q)
-        diff = self.target.coordinate_differential(n)
-        return (linalg.solve(diff, targets, p) if q == p
-                else linalg._solve_mod(diff, targets, p, q))
+        return linalg._solve_mod(self.target.coordinate_differential(n), targets, p, q)
 
     def extend_to(self, degree: int, budgets: Budgets) -> None:
         source, target = self.source, self.target

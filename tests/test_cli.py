@@ -49,7 +49,8 @@ def test_data_errors_exit_four(capsys, tmp_path):
     # window starts below the smallest family member
     assert run(capsys, ["coclass", "--family", "dihedral",
                         "--levels", "2..5", "--degree", "1"])[0] == 4
-    # an output path in a missing directory is refused, not a traceback
+    # an output path in a missing directory is refused, not a traceback,
+    # and nothing is written: classify opens --csv before it prints
     missing = tmp_path / "no" / "dir"
     for argv in (["matrix", "--group", "catalog:8.3", "--series", "L",
                   "--degree", "1", "--json", str(missing / "x.json")],
@@ -59,8 +60,9 @@ def test_data_errors_exit_four(capsys, tmp_path):
                   "--max-degree", "1", "--json", str(missing / "i.json")],
                  ["classify", "--catalog", "bundled8", "--series", "L",
                   "--max-degree", "1", "--csv", str(missing / "x.csv")]):
-        code, _, err = run(capsys, argv)
+        code, out, err = run(capsys, argv)
         assert code == 4 and "cannot write" in err, argv
+        assert out == "", argv
         assert "Traceback" not in err
 
 
@@ -85,10 +87,10 @@ def test_classify_all_refused_exits_three(capsys, monkeypatch):
 
 def _corrupt_last_kernel_row(kernel_basis):
     # the eliminator gets one entry of one kernel vector wrong
-    def wrapped(a, p):
-        kernel = kernel_basis(a, p)
+    def wrapped(a, p, q):
+        kernel = kernel_basis(a, p, q)
         if len(kernel):
-            kernel[-1, -1] = (kernel[-1, -1] + 1) % p
+            kernel[-1, -1] = (int(kernel[-1, -1]) + 1) % q
         return kernel
     return wrapped
 
@@ -110,7 +112,7 @@ def _add_a_pivot(pivot_columns):
 def test_consistency_error_exits_five(capsys, monkeypatch, cold_caches):
     # each fault trips its own check of the resolution
     for name, fault, message in (
-            ("kernel_basis", _corrupt_last_kernel_row, "is not in its kernel"),
+            ("_kernel_basis_mod", _corrupt_last_kernel_row, "is not in its kernel"),
             ("pivot_columns", _drop_last_pivot, "is not minimal"),
             ("pivot_columns", _add_a_pivot, "is not onto")):
         with monkeypatch.context() as patch:

@@ -90,6 +90,41 @@ def test_solve_single_row_and_inconsistent():
         linalg.solve(a, [0, 1], 2)
 
 
+@pytest.mark.parametrize("p", [2, 3, 191])
+def test_public_results_are_int64(p):
+    # matrices mod p are stored narrow inside, but callers get int64, so
+    # their own arithmetic on a result cannot wrap
+    rng = np.random.default_rng(p)
+    a = _rank_deficient(rng, p, 12, 9).astype(np.uint8)
+    b = rng.integers(0, p, size=(2, 12)) @ a % p
+    reduced, _ = linalg.row_reduce(a, p)
+    kernel = linalg.kernel_basis(a, p)
+    solved = linalg.solve(a, b.astype(np.uint8), p)
+    for got in (reduced, kernel, solved):
+        assert got.dtype == np.int64
+    assert len(kernel) and not (kernel @ a % p).any()
+    assert np.array_equal(solved @ a % p, b)
+    assert linalg._kernel_basis_mod(a, p, p).dtype == linalg._store_dtype(p) == np.uint8
+
+
+@pytest.mark.parametrize("q, inner", [(2053, 3), (2053, 4), (67108879, 5)])
+def test_product_is_exact_at_the_float_edges(monkeypatch, q, inner):
+    # inner (q-1)^2 < 2^24 runs in float32, so width 3 at q = 2053 does
+    # and width 4 does not; 67108879 needs three float64 inner chunks.
+    # Sums just past 2^24 and odd are the ones float32 would round.  Row
+    # chunks of two rows each land in the narrow result
+    monkeypatch.setattr(linalg, "_CHUNK", 2 * inner)
+    full = np.full((3, inner), q - 1, dtype=np.int64)
+    full[1, -1] = full[2, 0] = q - 2
+    rng = np.random.default_rng(inner)
+    for left in (full, rng.integers(0, q, size=(5, inner))):
+        right = left.T.copy()
+        got = linalg._product(left, right, q)
+        want = left.astype(object) @ right.astype(object) % q
+        assert got.dtype == linalg._store_dtype(q)
+        assert got.astype(object).tolist() == want.tolist()
+
+
 def test_elimination_mod_a_prime_power():
     # mod 4 the column [2] has no unit pivot: refused, not answered wrongly
     with pytest.raises(ValueError, match="no unit pivot"):
@@ -99,10 +134,10 @@ def test_elimination_mod_a_prime_power():
     # with a unit pivot in every column both are exact mod q
     rng = np.random.default_rng(11)
     checked = 0
-    # 13^2 and 3^5 are stored at int16 and int32, 3^10 at int64, and 223^4
-    # in Python ints
+    # 13^2 and 3^5 are worked at int16 and int32, 3^10 at int64, and 223^4
+    # in Python ints; 2^8 is stored at uint8, where -x mod q wraps
     for p, q in ((2, 16), (3, 81), (5, 5 ** 6), (13, 13 ** 2), (3, 3 ** 5),
-                 (3, 3 ** 10), (223, 223 ** 4)):
+                 (3, 3 ** 10), (223, 223 ** 4), (2, 2 ** 8)):
         for _ in range(30):
             m = int(rng.integers(1, 7))
             a = rng.integers(0, q, size=(m, int(rng.integers(0, m + 1))))
@@ -228,7 +263,8 @@ def test_panels_match_the_pivot_loop(monkeypatch, panel, sizes):
 def test_row_reduce_matches_the_rref_oracle(monkeypatch, p, width, m, n, limit):
     # the oracle follows the same rule, first usable row wins, so its RREF
     # is the eliminator's entry for entry at every storage width, through
-    # the pivot loop alone and through panels of 8
+    # the pivot loop alone and through panels of 8 with row chunks of a
+    # few rows (GF(2) is packed a few rows at a time then)
     if width is not None:
         assert linalg._fp_dtype(p) is width
     rng = np.random.default_rng([p, m, n])
@@ -241,10 +277,11 @@ def test_row_reduce_matches_the_rref_oracle(monkeypatch, p, width, m, n, limit):
     inputs = [a + p * rng.integers(-p, p, size=a.shape)]  # reduced on the way in
     if p < 256:
         inputs.append(a.astype(np.uint8))
-    for panel in (None, 8) if p > 2 else (None,):
+    for panel in (None, 8):
         with monkeypatch.context() as patch:
             if panel is not None:
                 patch.setattr(linalg, "_PANEL", panel)
+                patch.setattr(linalg, "_CHUNK", 4 * n + 1)
             for src in inputs:
                 for lim in (None, limit):
                     want, pivots = rref_mod_p(src.tolist(), p, lim)

@@ -173,21 +173,61 @@ def test_budget_of_a_later_call_leaves_an_extension_in_flight_alone(
         monkeypatch, cold_caches):
     from pgph import linalg
     g = bundled_group("16.3")
-    kernel_basis = linalg.kernel_basis
+    kernel_basis = linalg._kernel_basis_mod
     calls = []
 
-    def kernel_basis_with_a_cache_hit(a, p):
+    def kernel_basis_with_a_cache_hit(a, p, q):
         # a second caller reaches the cached resolution with a tiny budget
         # while the first caller is extending it
         if not calls:
             minimal_resolution(g, 0, budgets=Budgets(fp_entries=10))
         calls.append(1)
-        return kernel_basis(a, p)
+        return kernel_basis(a, p, q)
 
-    monkeypatch.setattr(linalg, "kernel_basis", kernel_basis_with_a_cache_hit)
+    monkeypatch.setattr(linalg, "_kernel_basis_mod", kernel_basis_with_a_cache_hit)
     res = minimal_resolution(g, 3, budgets=Budgets())
     assert len(calls) == 3
     assert res.ranks == [1, 2, 4, 6]
+
+
+@pytest.mark.parametrize("name, degree", [("8.3", 3), ("27.3", 2)])
+def test_levels_are_stored_narrow_and_read_out_at_int64(cold_caches, name, degree):
+    # q = p and q = p^(2e) (2^8 for order 8, 3^8 for order 27): levels are
+    # kept at the narrowest unsigned dtype, results leave at int64
+    from pgph import linalg
+    from pgph.barcomplex import _exponent
+    from pgph.resolution import _chain_map
+
+    g = bundled_group(name)
+    p = g.prime
+    hom = quotient_chain(g, "L").hom(1, 2)
+    for q in (p, p ** (2 * _exponent(g, p))):
+        cm = _chain_map(hom, q)
+        cm.extend_to(degree, Budgets())
+        store = linalg._store_dtype(q)
+        for res in (cm.source, cm.target):
+            assert all(gens.dtype == store for gens in res.gen_images[1:]), q
+            assert res.tensored(degree).dtype == np.int64
+        assert all(level.dtype == store for level in cm.levels), q
+        assert cm.homology_matrix(degree, Budgets()).dtype == np.int64
+    assert linalg._store_dtype(2 ** 8) == np.uint8
+    assert linalg._store_dtype(3 ** 8) == np.uint16
+    assert induced_map(hom, degree).dtype == np.int64
+
+
+def test_resolution_transients_stay_small(cold_caches):
+    # every matrix mod p lives at uint8 from the eliminators' outputs to
+    # the caches, and the K D = 0 check runs in row chunks
+    import tracemalloc
+
+    g = bundled_group("16.14")
+    tracemalloc.start()
+    try:
+        homology_dims(g, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000, peak
 
 
 def test_generators_follow_the_greedy_rule():
