@@ -26,7 +26,7 @@ import os
 import threading
 from dataclasses import dataclass, field
 
-from pgph.coclass import family_permutations
+from pgph.coclass import _mod_affine_perms, family_permutations
 from pgph.errors import DataError
 from pgph.groups import FiniteGroup, group_from_permutations
 
@@ -36,10 +36,6 @@ PROVENANCE_INGESTED = "ingested"
 
 # ---------------------------------------------------------------------------
 # Permutation builders
-
-
-def _cycle(n: int) -> list[int]:
-    return [(i + 1) % n for i in range(n)]
 
 
 def _abelian_perms(orders: list[int]) -> list[list[int]]:
@@ -63,12 +59,6 @@ def _direct_sum(left: list[list[int]], right: list[list[int]]) -> list[list[int]
     out = [perm + list(range(dl, dl + dr)) for perm in left]
     out += [list(range(dl)) + [dl + x for x in perm] for perm in right]
     return out
-
-
-def _mod_affine_perms(modulus: int, mult: int) -> list[list[int]]:
-    """i -> i + 1 and i -> mult * i on Z/modulus."""
-    return [[(i + 1) % modulus for i in range(modulus)],
-            [(mult * i) % modulus for i in range(modulus)]]
 
 
 _Q8 = [[1, 2, 3, 0, 7, 4, 5, 6], [4, 5, 6, 7, 2, 3, 0, 1]]
@@ -102,17 +92,17 @@ def _bundled_registry() -> dict[str, list[list[int]]]:
     reg: dict[str, list[list[int]]] = {}
     reg["1.1"] = [[0]]
     for p in (2, 3, 5, 7, 11, 13):
-        reg[f"{p}.1"] = [_cycle(p)]
-    reg["4.1"] = [_cycle(4)]
+        reg[f"{p}.1"] = _abelian_perms([p])
+    reg["4.1"] = _abelian_perms([4])
     reg["4.2"] = _abelian_perms([2, 2])
-    reg["8.1"] = [_cycle(8)]
+    reg["8.1"] = _abelian_perms([8])
     reg["8.2"] = _abelian_perms([4, 2])
     reg["8.3"] = family_permutations("dihedral", 3)
     reg["8.4"] = _Q8
     reg["8.5"] = _abelian_perms([2, 2, 2])
-    reg["9.1"] = [_cycle(9)]
+    reg["9.1"] = _abelian_perms([9])
     reg["9.2"] = _abelian_perms([3, 3])
-    reg["16.1"] = [_cycle(16)]
+    reg["16.1"] = _abelian_perms([16])
     reg["16.2"] = _abelian_perms([4, 4])
     reg["16.3"] = _SWAP_EXTENSION
     reg["16.4"] = _C4_SEMI_C4
@@ -127,7 +117,7 @@ def _bundled_registry() -> dict[str, list[list[int]]]:
     reg["16.12"] = _direct_sum(_Q8, _abelian_perms([2]))
     reg["16.13"] = _PAULI
     reg["16.14"] = _abelian_perms([2, 2, 2, 2])
-    reg["27.1"] = [_cycle(27)]
+    reg["27.1"] = _abelian_perms([27])
     reg["27.2"] = _abelian_perms([9, 3])
     # Heisenberg group: strictly upper unitriangular 3x3 matrices over F_3
     reg["27.3"] = [[3, 4, 5, 6, 7, 8, 0, 1, 2], [0, 1, 2, 4, 5, 3, 8, 6, 7]]

@@ -13,9 +13,12 @@ Walking down the path, the induced maps in mod-2 homology
     nu(l, k) : H_n(G_{l+k}; F_2) -> H_n(G_l; F_2)
 
 have nested images over k, and their dimensions settle as the window
-grows.  ``tree_persistence`` reports those dimensions together with the
-detected stable value, the finite-window estimate of the degree-n homology
-of the whole tree.  ``verify_tree_h2_bound`` checks the degree-2
+grows.  Down the path the quotients form one chain, the certified tower
+(``_tower``), so these dimensions are the entries above the diagonal of
+the tower's persistence matrix, computed by the same engine as
+``persistence_matrix``.  ``tree_persistence`` reports them together with
+the detected stable value, the finite-window estimate of the degree-n
+homology of the whole tree.  ``verify_tree_h2_bound`` checks the degree-2
 consequences: on path groups dim H_2 exceeds the stable dimension by
 exactly one, on leaves it is at least the stable dimension, and the sum is
 a lower bound for the number of relators in any presentation.
@@ -25,28 +28,27 @@ from __future__ import annotations
 
 import threading
 
-import numpy as np
-
 from pgph.config import DEFAULT_ORDER_CAP
 from pgph.errors import BudgetExceededError, DataError
 from pgph.groups import (FiniteGroup, GroupHom, abelianization_invariants,
                          group_from_permutations, quotient, series)
-from pgph.linalg import rank
-from pgph.resolution import induced_map, minimal_resolution
+from pgph.persistence import _matrix_for_chain
+from pgph.resolution import minimal_resolution
 
 FAMILY_KINDS = ("dihedral", "quaternion", "semidihedral")
 
 _MIN_LEVEL = {"dihedral": 3, "quaternion": 3, "semidihedral": 4}
 
 _FAMILY_CACHE: dict[tuple[str, int], FiniteGroup] = {}
+_TOWERS: dict[tuple[str, int],
+              tuple[tuple[FiniteGroup, ...], tuple[GroupHom, ...]]] = {}
 _FAMILY_LOCK = threading.Lock()
 
 
-def _dihedral_perms(level: int) -> list[list[int]]:
-    points = 2 ** (level - 1)
-    rot = [(i + 1) % points for i in range(points)]
-    ref = [(-i) % points for i in range(points)]
-    return [rot, ref]
+def _mod_affine_perms(modulus: int, mult: int) -> list[list[int]]:
+    """i -> i + 1 and i -> mult * i on Z/modulus."""
+    return [[(i + 1) % modulus for i in range(modulus)],
+            [(mult * i) % modulus for i in range(modulus)]]
 
 
 def _quaternion_perms(level: int) -> list[list[int]]:
@@ -65,18 +67,11 @@ def _quaternion_perms(level: int) -> list[list[int]]:
     return [by_a, by_b]
 
 
-def _semidihedral_perms(level: int) -> list[list[int]]:
-    m = 2 ** (level - 1)
-    twist = 2 ** (level - 2) - 1
-    rot = [(i + 1) % m for i in range(m)]
-    ref = [(twist * i) % m for i in range(m)]
-    return [rot, ref]
-
-
 _BUILDERS = {
-    "dihedral": _dihedral_perms,
+    "dihedral": lambda level: _mod_affine_perms(2 ** (level - 1), -1),
     "quaternion": _quaternion_perms,
-    "semidihedral": _semidihedral_perms,
+    "semidihedral": lambda level: _mod_affine_perms(2 ** (level - 1),
+                                                    2 ** (level - 2) - 1),
 }
 
 
@@ -144,28 +139,41 @@ def _invariant_signature(group: FiniteGroup):
             len(group.commutator_subgroup()))
 
 
-def _last_lower_central(group: FiniteGroup):
-    terms = series(group, "L").terms
-    if len(terms) < 2:
-        raise DataError("abelian group has no tree edge")
-    return terms[-2]
+def _tower(kind: str, l_max: int):
+    """The level-``l_max`` family member and its quotients down to level 3.
 
-
-def _tree_edge(kind: str, source: FiniteGroup, level: int) -> GroupHom:
-    """The quotient of a level-(level + 1) group by its last nontrivial
-    lower-central term, certified to be an order-2 kernel onto a copy of
-    the dihedral group of order 2^level."""
-    kernel = _last_lower_central(source)
-    if kernel.order != 2:
-        raise DataError(f"{kind} level {level + 1}: last lower-central term "
-                        f"has order {kernel.order}, expected 2")
-    quot, proj = quotient(source, kernel)
-    reference = family("dihedral", level)
-    if _invariant_signature(quot) != _invariant_signature(reference):
-        raise DataError(f"no tree edge: the quotient of the level-{level + 1} "
-                        f"{kind} group does not match the dihedral group of "
-                        f"order {2 ** level}")
-    return proj
+    Returns ``(groups, links)`` top first: ``groups[i]`` has level
+    ``l_max - i`` and ``links[i]`` maps it onto ``groups[i + 1]``.  Each link
+    is the quotient by the last nontrivial lower-central term, certified to
+    have a kernel of order 2 and a target matching the dihedral group of
+    that order by invariants (order, class, order histogram,
+    abelianization, center, derived subgroup), not by an isomorphism
+    search.  Iterated quotients make consecutive links literally compose.
+    Each tower is built once and cached beside the family members.
+    """
+    key = (kind, l_max)
+    with _FAMILY_LOCK:
+        cached = _TOWERS.get(key)
+    if cached is not None:
+        return cached
+    groups = [family(kind, l_max)]
+    links = []
+    for level in range(l_max - 1, 2, -1):
+        kernel = series(groups[-1], "L").terms[-2]
+        if kernel.order != 2:
+            raise DataError(f"{kind} level {level + 1}: last lower-central "
+                            f"term has order {kernel.order}, expected 2")
+        quot, proj = quotient(groups[-1], kernel)
+        if (_invariant_signature(quot)
+                != _invariant_signature(family("dihedral", level))):
+            raise DataError(f"no tree edge: the quotient of the level-"
+                            f"{level + 1} {kind} group does not match the "
+                            f"dihedral group of order {2 ** level}")
+        groups.append(quot)
+        links.append(proj)
+    # the build runs outside the lock: family() takes it too
+    with _FAMILY_LOCK:
+        return _TOWERS.setdefault(key, (tuple(groups), tuple(links)))
 
 
 def tree_links(kind: str, level: int) -> GroupHom:
@@ -176,30 +184,14 @@ def tree_links(kind: str, level: int) -> GroupHom:
     order 2.  The target of the returned homomorphism is the quotient group
     itself, a renumbered copy of the dihedral group of order 2^level: the
     infinite path of the tree runs through the dihedral groups, so every
-    parent is dihedral.  The match is certified by invariant comparison
-    (order, class, order histogram, abelianization, center, derived
-    subgroup), not by an isomorphism search.
+    parent is dihedral.  The edge is the top link of the certified tower
+    (see ``_tower``).
     """
     if kind not in FAMILY_KINDS:
         raise DataError(f"unknown family kind {kind!r}")
     if not isinstance(level, int) or level < 3:
         raise DataError(f"tree links exist from level 3 up, got {level!r}")
-    return _tree_edge(kind, family(kind, level + 1), level)
-
-
-def _tower(kind: str, l_min: int, l_max: int):
-    """Groups and connecting surjections for levels l_min..l_max.
-
-    Built top down by iterated quotients, so consecutive links literally
-    compose; each link is certified like a ``tree_links`` edge rather than
-    trusted.
-    """
-    groups = {l_max: family(kind, l_max)}
-    links: dict[int, GroupHom] = {}
-    for lvl in range(l_max - 1, l_min - 1, -1):
-        links[lvl] = _tree_edge(kind, groups[lvl + 1], lvl)
-        groups[lvl] = links[lvl].target
-    return groups, links
+    return _tower(kind, level + 1)[1][0]
 
 
 def tree_persistence(kind: str, degree: int, l_min: int, l_max: int,
@@ -209,10 +201,13 @@ def tree_persistence(kind: str, degree: int, l_min: int, l_max: int,
     For each level l in ``l_min..l_max - 1`` the report row lists
     dim Im(nu(l, k)) for k = 1 up to the window edge; the images are nested,
     so the last entry of a row is the intersection dimension over the whole
-    window.  The single-step dimensions (k = 1) are scanned for a constant
-    tail of length at least two; its value is reported as ``stabilizedDim``
-    and estimates the stable degree-``degree`` homology of the tree.  A
-    window without such a tail reports null rather than failing.
+    window.  The row of level l is the column of level l in the persistence
+    matrix of the tower from ``l_max`` down to ``l_min``, read upwards from
+    the diagonal.  The single-step dimensions (k = 1) are scanned for a
+    constant tail of length at least two; its value is reported as
+    ``stabilizedDim`` and estimates the stable degree-``degree`` homology
+    of the tree.  A window without such a tail reports null rather than
+    failing.
     """
     if kind not in FAMILY_KINDS:
         raise DataError(f"unknown family kind {kind!r}")
@@ -223,20 +218,15 @@ def tree_persistence(kind: str, degree: int, l_min: int, l_max: int,
     if l_min >= l_max:
         raise DataError("window must contain at least one link "
                         f"(l_min = {l_min}, l_max = {l_max})")
-    groups, links = _tower(kind, l_min, l_max)
-    p = 2
-    matrices = {lvl: induced_map(links[lvl], degree, budgets)
-                for lvl in range(l_min, l_max)}
-    image_dims = []
-    for lvl in range(l_min, l_max):
-        acc = matrices[lvl]
-        row = [rank(acc, p)]
-        for k in range(2, l_max - lvl + 1):
-            # nu(lvl, k) factors through nu(lvl, k - 1); left factor is the
-            # link leaving the new source level.
-            acc = matrices[lvl + k - 1] @ acc % p
-            row.append(rank(acc, p))
-        image_dims.append(row)
+    groups, links = _tower(kind, l_max)
+    width = l_max - l_min + 1
+    m = _matrix_for_chain(groups[:width], links[:width - 1], "L", degree,
+                          budgets, "").matrix
+    # groups[i] has level l_max - i, so nu(lvl, k) is entry (i, j) with
+    # i = l_max - lvl - k and j = l_max - lvl
+    image_dims = [[int(m[l_max - lvl - k, l_max - lvl])
+                   for k in range(1, l_max - lvl + 1)]
+                  for lvl in range(l_min, l_max)]
     single = [row[0] for row in image_dims]
     stab_level = None
     stab_dim = None

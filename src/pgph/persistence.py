@@ -23,16 +23,15 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from pgph import linalg
 from pgph.barcomplex import _chain_triples
 from pgph.config import Budgets
-from pgph.errors import (BudgetExceededError, ConsistencyError, DataError,
-                          PgphError)
-from pgph.groups import (FiniteGroup, QuotientChain, Subgroup, min_generators,
+from pgph.errors import ConsistencyError, DataError, PgphError
+from pgph.groups import (FiniteGroup, GroupHom, Subgroup, min_generators,
                          quotient_chain, series)
 from pgph.resolution import induced_map, minimal_resolution
 
@@ -154,14 +153,16 @@ class InvariantFingerprint:
     serialized: tuple[str, ...]
 
 
-def _matrix_for_chain(chain: QuotientChain, functor: str, degree: int,
+def _matrix_for_chain(quotients: Sequence[FiniteGroup],
+                      maps: Sequence[GroupHom], functor: str, degree: int,
                       budgets: Budgets | None, name: str) -> PersistenceMatrix:
-    group = chain.group
-    p = group.prime
-    n_terms = len(chain)
+    """Entry (i, j) is the rank of the composite of ``maps[i:j]`` in degree
+    ``degree``; the diagonal holds the homology dimensions of ``quotients``."""
+    p = quotients[0].prime
+    n_terms = len(quotients)
     dims = [minimal_resolution(q, degree, budgets=budgets).ranks[degree]
-            for q in chain.quotients]
-    links = [induced_map(chain.maps[t], degree, budgets)
+            for q in quotients]
+    links = [induced_map(maps[t], degree, budgets)
              for t in range(n_terms - 1)]
     m = np.zeros((n_terms, n_terms), dtype=np.int64)
     for i in range(n_terms):
@@ -170,7 +171,7 @@ def _matrix_for_chain(chain: QuotientChain, functor: str, degree: int,
         for j in range(i + 1, n_terms):
             acc = acc @ links[j - 1] % p
             m[i, j] = linalg.rank(acc, p)
-    orders = tuple(q.order for q in chain.quotients)
+    orders = tuple(q.order for q in quotients)
     return PersistenceMatrix(name, functor, degree, orders, m)
 
 
@@ -181,29 +182,20 @@ def persistence_matrix(group: FiniteGroup, functor: str, degree: int,
     if degree < 0:
         raise DataError(f"homology degree must be nonnegative: {degree}")
     chain = quotient_chain(group, functor)
-    return _matrix_for_chain(chain, functor, degree, budgets, name)
+    return _matrix_for_chain(chain.quotients, chain.maps, functor, degree,
+                             budgets, name)
 
 
 def persistence_sequence(group: FiniteGroup, functor: str, max_degree: int,
-                         budgets: Budgets | None = None, name: str = "",
-                         strict: bool = True) -> list[PersistenceMatrix]:
-    """Matrices for degrees 1..max_degree, sharing one chain and resolutions.
-
-    With ``strict`` off, a degree that exceeds the budget stops the loop and
-    the shorter list itself marks the result as partial.
-    """
+                         budgets: Budgets | None = None,
+                         name: str = "") -> list[PersistenceMatrix]:
+    """Matrices for degrees 1..max_degree, sharing one chain and resolutions."""
     if max_degree < 1:
         raise DataError(f"max degree must be at least 1: {max_degree}")
     chain = quotient_chain(group, functor)
-    out: list[PersistenceMatrix] = []
-    for degree in range(1, max_degree + 1):
-        try:
-            out.append(_matrix_for_chain(chain, functor, degree, budgets, name))
-        except BudgetExceededError:
-            if strict:
-                raise
-            break
-    return out
+    return [_matrix_for_chain(chain.quotients, chain.maps, functor, degree,
+                              budgets, name)
+            for degree in range(1, max_degree + 1)]
 
 
 def barcode(pm: PersistenceMatrix) -> Barcode:

@@ -12,15 +12,16 @@ _ACCEPTANCE: list[tuple[int, str, bool, str]] = []
 
 @pytest.fixture
 def cold_caches(monkeypatch):
-    """Empty resolution caches for the test, restored afterwards.
+    """Empty resolution and coclass tower caches, restored afterwards.
 
     The engine then builds every level the test asks for; tests that
     inject faults into it, or watch it build, rely on this.
     """
-    from pgph import resolution
+    from pgph import coclass, resolution
 
     monkeypatch.setattr(resolution, "_RESOLUTIONS", {})
     monkeypatch.setattr(resolution, "_CHAIN_MAPS", {})
+    monkeypatch.setattr(coclass, "_TOWERS", {})
 
 
 def record_criterion(number: int, label: str, passed: bool,

@@ -7,16 +7,18 @@ dihedral has class 5, stabilized image dimension 2 in every degree up to
 reports.
 """
 
+import sys
 import threading
 
 import pytest
 
+from pgph import coclass
 from pgph.coclass import (FAMILY_KINDS, family, tree_links, tree_persistence,
                           verify_tree_h2_bound)
 from pgph.config import default_budgets
 from pgph.errors import BudgetExceededError, DataError
 from pgph.groups import abelianization_invariants, series
-from pgph.persistence import fingerprint
+from pgph.persistence import fingerprint, persistence_matrix
 
 
 def test_family_members_pinned():
@@ -74,6 +76,11 @@ def test_tree_link_leaves_have_dihedral_parents():
         assert abelianization_invariants(link.target) == [2, 2]
 
 
+def test_tree_links_source_is_the_family_member():
+    for kind in FAMILY_KINDS:
+        assert tree_links(kind, 4).source is family(kind, 5)
+
+
 def test_tree_link_rejects_bad_levels():
     with pytest.raises(DataError):
         tree_links("dihedral", 2)
@@ -101,6 +108,34 @@ def test_tree_persistence_report_structure():
     assert inter == [row[-1] for row in rep["imageDims"]]
     # intersections over shrinking windows grow with the level
     assert all(a <= b for a, b in zip(inter, inter[1:]))
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+@pytest.mark.parametrize("degree", [2, 3, 4])
+def test_tree_persistence_reads_the_persistence_matrix(kind, degree):
+    # the lower-central quotient chain of the top member is numbered
+    # independently of the tower; column j of its matrix holds the images
+    # into level 7 - j, the row above the diagonal is k = 1
+    rep = tree_persistence(kind, degree, 3, 7)
+    m = persistence_matrix(family(kind, 7), "L", degree).matrix
+    for lvl, row in zip(range(3, 7), rep["imageDims"]):
+        j = 7 - lvl
+        assert row == [int(m[j - k, j]) for k in range(1, j + 1)]
+
+
+def test_tree_tower_is_built_once(cold_caches, monkeypatch):
+    calls = []
+    real = coclass.quotient
+
+    def counting(group, sub):
+        calls.append(group.order)
+        return real(group, sub)
+    monkeypatch.setattr(coclass, "quotient", counting)
+    for degree in (1, 2, 3):
+        tree_persistence("dihedral", degree, 3, 6)
+    tree_links("dihedral", 5)
+    # one quotient per link of the level-6 tower: 6 -> 5 -> 4 -> 3
+    assert calls == [64, 32, 16]
 
 
 def test_tree_persistence_leaf_families():
@@ -172,15 +207,25 @@ def test_tree_persistence_budget_refusal():
         tree_persistence("dihedral", 5, 3, 4, budgets=default_budgets())
 
 
-def test_tree_persistence_concurrent_calls_agree():
+def test_tree_persistence_concurrent_calls_agree(cold_caches):
+    # with no tower cached, every thread races its first build; a short
+    # switch interval interleaves the builds, and one tower must win
     results = {}
 
     def run(tag):
         results[tag] = tree_persistence("dihedral", 2, 3, 5)
 
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert results[0] == results[1]
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 4
+    assert all(results[i] == results[0] for i in range(4))
+    assert list(coclass._TOWERS) == [("dihedral", 5)]
