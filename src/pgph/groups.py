@@ -17,7 +17,9 @@ proper quotient in the series: column 1 is always G itself.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -28,6 +30,13 @@ from pgph.errors import BudgetExceededError, DataError
 SERIES_KINDS = ("L", "Lp", "D", "Z", "Zp")
 
 _DESCENDING = {"L": True, "Lp": True, "D": True, "Z": False, "Zp": False}
+
+
+def _distinct(values, n: int) -> np.ndarray:
+    """The sorted distinct entries of ``values``, element indices below ``n``."""
+    seen = np.zeros(n, dtype=bool)
+    seen[values] = True
+    return np.nonzero(seen)[0]
 
 
 def _as_table(cayley) -> np.ndarray:
@@ -132,8 +141,7 @@ class FiniteGroup:
         return self._orders
 
     def order_histogram(self) -> dict[int, int]:
-        values, counts = np.unique(self.element_orders(), return_counts=True)
-        return {int(v): int(c) for v, c in zip(values, counts)}
+        return {v: int(c) for v, c in enumerate(np.bincount(self.element_orders())) if c}
 
     # -- structure ---------------------------------------------------------
 
@@ -153,6 +161,11 @@ class FiniteGroup:
                 raise DataError(f"order {self.order} is not a prime power")
             self._prime = p
         return self._prime
+
+    @cached_property
+    def digest(self) -> bytes:
+        """sha1 of the Cayley table, computed once: the cache key of the group."""
+        return hashlib.sha1(self.cayley.tobytes()).digest()
 
     @property
     def is_abelian(self) -> bool:
@@ -174,7 +187,7 @@ class FiniteGroup:
             if len(fresh) == 0:
                 break
             seen[fresh] = True
-            frontier = np.unique(fresh).tolist()
+            frontier = _distinct(fresh, self.order).tolist()
         return np.nonzero(seen)[0].astype(np.int32)
 
     def commutator_subgroup(self, left: Sequence[int] | None = None,
@@ -183,7 +196,7 @@ class FiniteGroup:
         comm = self.commutator_table()
         left = np.arange(self.order) if left is None else np.asarray(left)
         right = np.arange(self.order) if right is None else np.asarray(right)
-        gens = np.unique(comm[np.ix_(left, right)])
+        gens = _distinct(comm[np.ix_(left, right)], self.order)
         return self.subgroup_generated(gens)
 
     def minimal_generators(self) -> list[int]:
@@ -197,8 +210,8 @@ class FiniteGroup:
                 self._min_gens = []
             else:
                 p = self.prime
-                frattini = self.subgroup_generated(
-                    np.union1d(self.commutator_subgroup(), self.power_table(p)))
+                frattini = self.subgroup_generated(_distinct(np.concatenate(
+                    [self.commutator_subgroup(), self.power_table(p)]), self.order))
                 chosen: list[int] = []
                 span = frattini
                 covered = np.zeros(self.order, dtype=bool)
@@ -253,7 +266,7 @@ class GroupHom:
 
     @property
     def is_surjective(self) -> bool:
-        return len(np.unique(self.mapping)) == self.target.order
+        return len(_distinct(self.mapping, self.target.order)) == self.target.order
 
     def compose(self, then: "GroupHom") -> "GroupHom":
         """The composite source -> then.target (apply self first)."""
@@ -302,12 +315,12 @@ def series(group: FiniteGroup, kind: str) -> NormalSeries:
         while len(terms[-1]) > 1:
             cur = terms[-1]
             if kind == "L":
-                gens = np.unique(comm[cur, :])
+                gens = _distinct(comm[cur, :], n)
             elif kind == "D":
-                gens = np.unique(comm[np.ix_(cur, cur)])
+                gens = _distinct(comm[np.ix_(cur, cur)], n)
             else:  # Lp
-                powers = group.power_table(p)[cur]
-                gens = np.union1d(np.unique(comm[cur, :]), powers)
+                gens = _distinct(np.concatenate(
+                    [comm[cur, :].ravel(), group.power_table(p)[cur]]), n)
             nxt = group.subgroup_generated(gens)
             if len(nxt) == len(cur):
                 raise DataError(f"{kind} series stalls at order {len(cur)}")
@@ -340,8 +353,9 @@ def quotient(group: FiniteGroup, normal: Subgroup | Sequence[int]) -> tuple[Fini
     elems = np.asarray(sorted(set(elems)), dtype=np.int32)
     if len(elems) == 0 or elems[0] != 0:
         raise DataError("normal subgroup must contain the identity")
-    products = np.unique(group.cayley[np.ix_(elems, elems)])
-    if not np.array_equal(products, elems):
+    inside = np.zeros(group.order, dtype=bool)
+    inside[elems] = True  # it holds the identity: closed iff every product is inside
+    if not inside[group.cayley[np.ix_(elems, elems)]].all():
         raise DataError("element set is not closed under multiplication")
     rep = group.cayley[:, elems].min(axis=1)
     lookup = {int(r): i for i, r in enumerate(sorted(set(int(x) for x in rep)))}

@@ -335,6 +335,13 @@ def _reduce(a, p: int, q: int, pivot_limit: int | None = None, reduce_above: boo
     return work, pivots
 
 
+def _complement(indices, k: int) -> np.ndarray:
+    """The indices below ``k`` that are not in ``indices``, ascending."""
+    outside = np.ones(k, dtype=bool)
+    outside[indices] = False
+    return np.nonzero(outside)[0]
+
+
 def pivot_columns(a, p: int) -> list[int]:
     """Columns of ``a`` outside the F_p span of the columns before them."""
     return _echelon(_matrix(a), p, None, False, p)[1]
@@ -359,7 +366,7 @@ def _kernel_basis_mod(a, p: int, q: int) -> np.ndarray:
     """`kernel_basis` mod q, a power of p, in RREF mod p; see `_reduce`."""
     reduced, pivots = _reduce(_matrix(a).T[:, ::-1], p, q)
     m = reduced.shape[1]
-    free = np.setdiff1d(np.arange(m), pivots)
+    free = _complement(pivots, m)
     basis = np.zeros((len(free), m), dtype=reduced.dtype)
     # filled in reversed coordinates, so the row of the lowest original
     # free column comes first

@@ -19,11 +19,8 @@ G is abelian.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -175,6 +172,18 @@ def _matrix_for_chain(quotients: Sequence[FiniteGroup],
     return PersistenceMatrix(name, functor, degree, orders, m)
 
 
+def _integral_for_chain(quotients: Sequence[FiniteGroup],
+                        maps: Sequence[GroupHom], functor: str, degree: int,
+                        budgets: Budgets | None, name: str) -> IntegralPersistenceMatrix:
+    """`_matrix_for_chain` over Z: cell (i, j) is the (A, B, C) triple."""
+    cells = _chain_triples(quotients, maps, degree, budgets)
+    rows = tuple(
+        tuple(None if j < i else tuple(map(tuple, cells[i, j])) for j in range(len(quotients)))
+        for i in range(len(quotients)))
+    orders = tuple(q.order for q in quotients)
+    return IntegralPersistenceMatrix(name, functor, degree, orders, rows)
+
+
 def persistence_matrix(group: FiniteGroup, functor: str, degree: int,
                        budgets: Budgets | None = None,
                        name: str = "") -> PersistenceMatrix:
@@ -240,12 +249,8 @@ def integral_persistence_matrix(group: FiniteGroup, functor: str, degree: int,
     if degree < 0:
         raise DataError(f"homology degree must be nonnegative: {degree}")
     chain = quotient_chain(group, functor)
-    cells = _chain_triples(chain.quotients, chain.maps, degree, budgets)
-    rows = tuple(
-        tuple(None if j < i else tuple(map(tuple, cells[i, j])) for j in range(len(chain)))
-        for i in range(len(chain)))
-    orders = tuple(q.order for q in chain.quotients)
-    return IntegralPersistenceMatrix(name, functor, degree, orders, rows)
+    return _integral_for_chain(chain.quotients, chain.maps, functor, degree,
+                               budgets, name)
 
 
 def _serialize_matrix(pm: PersistenceMatrix) -> str:
@@ -268,9 +273,10 @@ def fingerprint(group: FiniteGroup, functor: str, max_degree: int,
                 name: str = "") -> InvariantFingerprint:
     """Degree-separated canonical form of the matrix sequence of a group."""
     if integral:
+        chain = quotient_chain(group, functor)
         serials = tuple(
-            _serialize_integral(
-                integral_persistence_matrix(group, functor, n, budgets, name))
+            _serialize_integral(_integral_for_chain(
+                chain.quotients, chain.maps, functor, n, budgets, name))
             for n in range(1, max_degree + 1))
     else:
         seq = persistence_sequence(group, functor, max_degree, budgets, name)
@@ -295,9 +301,11 @@ def classify(catalog, functor: str, max_degree: int,
     members of each class, and gives two summary statistics: stableT, one
     more than the last degree whose addition strictly refined the partition,
     and the strongest single degree (most classes, then smallest maximum
-    class, ties resolved toward the higher degree).  ``workers`` caps the
-    thread pool; None or 0 gives one thread per group up to the CPU count,
-    and a negative count is a DataError.
+    class, ties resolved toward the higher degree).  Groups are fingerprinted
+    in catalog order on the calling thread.  ``workers`` is accepted and
+    validated for compatibility (a negative count is a DataError) but ignored:
+    the elimination holds the GIL, so threads ran no faster, and worker
+    processes would lose the resolution caches that later calls reuse.
     """
     if isinstance(catalog, Mapping):
         pairs = [(str(k), v) for k, v in catalog.items()]
@@ -312,34 +320,20 @@ def classify(catalog, functor: str, max_degree: int,
     if workers is not None and workers < 0:
         raise DataError(f"workers must not be negative: {workers}")
 
-    def job(item):
-        name, group = item
-        return fingerprint(group, functor, max_degree, integral, budgets, name)
-
-    max_workers = workers or min(len(pairs), os.cpu_count() or 1)
     serials: dict[str, tuple[str, ...]] = {}
     failures: list[dict] = []
     errors: list[PgphError] = []
-
-    def collect(name, run):
+    for name, group in pairs:
         try:
-            serials[name] = run().serialized
+            serials[name] = fingerprint(group, functor, max_degree, integral,
+                                        budgets, name).serialized
         except ConsistencyError:
             raise  # a defect, not a group this run could not finish
         except PgphError as exc:
             failures.append({"group": name, "error": str(exc)})
             errors.append(exc)
 
-    if max_workers == 1:
-        # inline, so profilers and tracers see the work on this thread
-        for item in pairs:
-            collect(item[0], partial(job, item))
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            for (name, _), future in [(item, pool.submit(job, item)) for item in pairs]:
-                collect(name, future.result)
-
-    names = [name for name, _ in pairs if name in serials]
+    names = list(serials)  # in catalog order
     if not names:
         # nothing to report: raise the first group's own cause, typed as it was
         errors[0].args = (f"{failures[0]['group']}: {errors[0]}",)

@@ -45,7 +45,6 @@ generators; composing those matrices is composing the maps.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 
 import numpy as np
@@ -58,12 +57,8 @@ from pgph.groups import FiniteGroup, GroupHom
 _RESOLUTIONS: dict[tuple, "MinimalResolution"] = {}
 _CHAIN_MAPS: dict[tuple, "_ChainMap"] = {}
 # guards get-or-create on the caches; each cached object carries its own
-# lock so concurrent classification workers can share resolutions
+# lock so callers on several threads can share resolutions
 _CACHE_LOCK = threading.Lock()
-
-
-def _digest(group: FiniteGroup) -> bytes:
-    return hashlib.sha1(group.cayley.tobytes()).digest()
 
 
 def _acting_columns(group: FiniteGroup, columns: np.ndarray, elements) -> np.ndarray:
@@ -159,7 +154,7 @@ class MinimalResolution:
             ones = block[diagonal, diagonal]
             block[diagonal, diagonal] = np.where(ones, ones - 1, p - 1)
         ends = k - 1 - np.array(linalg.pivot_columns(radical[:, ::-1], p), dtype=np.intp)
-        picks = np.setdiff1d(diagonal, ends)
+        picks = linalg._complement(ends, k)
         # gen_images and lead first: unlocked readers treat len(ranks)
         # as the high-water mark of completed levels
         self.gen_images.append(kernel[picks])
@@ -168,6 +163,7 @@ class MinimalResolution:
 
     def extend_to(self, degree: int, budgets: Budgets | None = None) -> None:
         budgets = budgets or default_budgets()
+        n_gens = len(self.group.minimal_generators())
         for n in range(degree):
             # level n + 1 needs D_n and the radical of K_n, d k_n x k_n with
             # k_n = b_n |G| - k_(n-1) by exactness; cached levels are checked
@@ -175,8 +171,7 @@ class MinimalResolution:
             if n:
                 self._charge(budgets, "resolution differential", self._differential_entries(n))
             k = self.ranks[n] * self.group.order - (len(self.lead[n - 1]) if n else 1)
-            self._charge(budgets, "resolution radical",
-                         len(self.group.minimal_generators()) * k * k)
+            self._charge(budgets, "resolution radical", n_gens * k * k)
             if len(self.ranks) <= n + 1:
                 with self._lock:
                     if len(self.ranks) <= n + 1:
@@ -208,7 +203,7 @@ def _cached(cache: dict, key: tuple, make):
 
 def _resolution(group: FiniteGroup, prime: int, modulus: int) -> MinimalResolution:
     """The cached resolution of ``group`` mod ``modulus``, a power of ``prime``."""
-    return _cached(_RESOLUTIONS, (_digest(group), prime, modulus),
+    return _cached(_RESOLUTIONS, (group.digest, prime, modulus),
                    lambda: MinimalResolution(group, prime, modulus))
 
 
@@ -276,7 +271,7 @@ def _chain_map(hom: GroupHom, modulus: int | None = None) -> _ChainMap:
     by default their prime."""
     p = _prime(hom.source, hom.target)
     q = modulus or p
-    key = (_digest(hom.source), _digest(hom.target), hom.mapping.tobytes(), q)
+    key = (hom.source.digest, hom.target.digest, hom.mapping.tobytes(), q)
     source, target = _resolution(hom.source, p, q), _resolution(hom.target, p, q)
     return _cached(_CHAIN_MAPS, key, lambda: _ChainMap(hom, source, target))
 

@@ -68,6 +68,16 @@ def test_bundled_group_lookup():
         bundled_group("6.1")
 
 
+def test_order_histograms_count_element_orders():
+    # one count per element order, keys ascending, over every bundled group
+    for entry in bundled_catalog():
+        orders = entry.group.element_orders().tolist()
+        want = {k: orders.count(k) for k in sorted(set(orders))}
+        histogram = entry.group.order_histogram()
+        assert list(histogram.items()) == list(want.items()), entry.id
+        assert all(type(k) is int and type(v) is int for k, v in histogram.items())
+
+
 def test_bundled_order_16_spot_checks():
     # the three hand-built entries of order 16, pinned by cheap invariants
     groups = {e.id: e.group for e in bundled_order(16)}

@@ -302,6 +302,33 @@ def test_selftest_passes(capsys):
     assert all(line.startswith("ok ") for line in lines)
 
 
+def test_library_runs_without_numpy_ma_or_a_thread_pool():
+    # numpy's set routines import numpy.ma on first use, and a thread pool
+    # imports concurrent.futures; no path here needs either
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "import pgph.cli as cli",
+        "from pgph import classify, homology_dims, tree_persistence",
+        "from pgph.catalog import bundled_order",
+        "groups = {entry.id: entry.group for entry in bundled_order(8)}",
+        "classify(groups, 'L', 3, workers=2)",
+        "classify(groups, 'Zp', 2, integral=True, workers=2)",
+        "homology_dims(groups['8.3'], 3)",
+        "tree_persistence('dihedral', 2, 3, 5)",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    code = cli.main(['matrix', '--group', 'catalog:8.3',",
+        "                     '--series', 'L', '--degree', '2'])",
+        "print(code, [m for m in ('numpy.ma', 'concurrent.futures')",
+        "             if m in sys.modules])",
+    ])
+    src = os.path.dirname(os.path.dirname(pgph.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[-2] == "0 []"
+
+
 def test_selftest_fails_under_optimized_python():
     # python -O strips assert statements; the selftest checks must not be
     script = ("import sys; import pgph.cli as cli; "

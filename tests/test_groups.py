@@ -240,18 +240,28 @@ def test_quotient_center_of_q8():
     assert abelian_invariants(q) == [2, 2]         # Q8 over its center is Klein
     assert proj.is_surjective
     assert proj(0) == 0
+    # homomorphisms that miss part of the target
+    assert not GroupHom(g, q, np.zeros(g.order, dtype=np.int32)).is_surjective
+    c4 = group_from_permutations(C4)
+    square = GroupHom(c4, c4, c4.power_table(2))
+    assert square.mapping.tolist() == [0, 2, 0, 2]
+    assert not square.is_surjective
 
 
 def test_quotient_rejects_bad_inputs():
     g = group_from_permutations(D4)
-    with pytest.raises(DataError):
-        quotient(g, [0, 1, 2])                      # not closed
+    with pytest.raises(DataError, match="not closed"):
+        quotient(g, [0, 1, 2])
+    with pytest.raises(DataError, match="not closed"):
+        quotient(g, [0, 1, 1, 2, 3])                # repeats do not help
     # a non-normal subgroup: one generated by a non-central involution
     orders = g.element_orders()
     central = set(g.center_elements().tolist())
     refl = next(i for i in range(g.order) if orders[i] == 2 and i not in central)
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="^subgroup is not normal$"):
         quotient(g, g.subgroup_generated([refl]))
+    with pytest.raises(DataError, match="^subgroup is not normal$"):
+        quotient(g, [0, refl])
 
 
 def test_quotient_chain_descending_orders():

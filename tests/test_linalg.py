@@ -30,6 +30,14 @@ def test_kernel_hand_values():
     assert k.shape == (0, 3)
     k = linalg.kernel_basis(np.zeros((2, 3), dtype=int), 2)
     assert k.tolist() == [[1, 0], [0, 1]]
+    # every column free, and none free, on the mod-p and mod-q paths
+    invertible = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 0]])     # det 1
+    for p, q in ((2, 2), (3, 3), (5, 5), (2, 8), (3, 9)):
+        zero = linalg._kernel_basis_mod(np.zeros((3, 3), dtype=int), p, q)
+        assert zero.tolist() == np.eye(3, dtype=int).tolist()
+        assert linalg._kernel_basis_mod(invertible, p, q).shape == (0, 3)
+    k = linalg.kernel_basis([[1, 2], [3, 4]], 5)
+    assert k.shape == (0, 2) and k.dtype == np.int64
 
 
 def test_kernel_rows_annihilate():

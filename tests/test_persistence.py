@@ -6,6 +6,8 @@ minimal-resolution code.  The order-64 dihedral degree-2 matrix and its
 bar code are pinned to their published values.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -309,6 +311,19 @@ def test_classify_rejects_negative_workers(monkeypatch):
     monkeypatch.setattr(persistence, "fingerprint", started)
     with pytest.raises(DataError, match="workers must not be negative: -1"):
         classify({"c4": group_from_permutations(C4)}, "L", 1, workers=-1)
+
+
+def test_classify_fingerprints_on_the_calling_thread(monkeypatch):
+    threads = []
+
+    def recording(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return fingerprint(*args, **kwargs)
+    monkeypatch.setattr(persistence, "fingerprint", recording)
+    catalog = {entry.id: entry.group for entry in bundled_order(8)}
+    for workers in (None, 1, 2, 4):
+        classify(catalog, "L", 2, workers=workers)
+    assert threads == [threading.get_ident()] * (4 * len(catalog))
 
 
 def test_classify_same_report_for_any_worker_count(monkeypatch):
