@@ -34,7 +34,7 @@ import numpy as np
 
 from pgph import linalg
 from pgph.config import Budgets, default_budgets
-from pgph.errors import ConsistencyError
+from pgph.errors import BudgetExceededError, ConsistencyError
 from pgph.groups import FiniteGroup, GroupHom
 from pgph.resolution import MinimalResolution, _chain_map, _prime, _resolution
 
@@ -150,6 +150,9 @@ def _chain_triples(groups, links, n: int, budgets: Budgets | None = None) -> dic
     e = max(_exponent(g, p) for g in groups)
     budgets = budgets or default_budgets()
     q = p ** (2 * e)
+    # the block sums of |Q| residues mod q (`resolution._block_sums`) are int64
+    if (needed := q * max(g.order for g in groups)) >= linalg._INT64_SAFE:
+        raise BudgetExceededError("integral modulus times order", needed, linalg._INT64_SAFE - 1)
     resolutions = [_resolution(g, p, q) for g in groups]
     for res in resolutions:
         res.extend_to(n + 1, budgets)
@@ -159,7 +162,7 @@ def _chain_triples(groups, links, n: int, budgets: Budgets | None = None) -> dic
     for i, pushed in enumerate(cycles):
         triples[i, i] = (torsion[i], torsion[i], [])
         for j in range(i + 1, len(groups)):
-            pushed = pushed @ maps[j - 1] % p ** e
+            pushed = linalg._product(pushed, maps[j - 1], p ** e)
             stacked = np.vstack([resolutions[j].tensored(n + 1), pushed])
             triples[i, j] = (torsion[i], torsion[j], _invariants(stacked, p, e))
     return triples

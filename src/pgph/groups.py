@@ -94,19 +94,6 @@ class FiniteGroup:
         inv[rows] = cols
         return inv
 
-    # -- elementwise arithmetic -------------------------------------------
-
-    def mul(self, a: int, b: int) -> int:
-        return int(self.cayley[a, b])
-
-    def inverse(self, a: int) -> int:
-        return int(self.inv[a])
-
-    def commutator(self, a: int, b: int) -> int:
-        """a^-1 * b^-1 * a * b."""
-        t = self.cayley
-        return int(t[t[t[self.inv[a], self.inv[b]], a], b])
-
     def commutator_table(self) -> np.ndarray:
         """Full n x n table of commutators [a, b]."""
         if self._comm is None:

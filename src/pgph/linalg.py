@@ -2,36 +2,26 @@
 
 Conventions used throughout the package: vectors are rows, a matrix A acts
 on the right (x -> x @ A), the kernel of A is the row space {x : x @ A = 0},
-and composing maps multiplies their matrices left to right.  Prime-field
-matrices are numpy integer arrays with entries reduced mod p; integer
-matrices are kept exact (arbitrary-precision Python ints whenever numpy's
-fixed width could overflow).
+and composing maps multiplies their matrices left to right.  Matrices mod
+p are numpy integer arrays with entries reduced mod p.
 
-Private variants eliminate modulo q = p^E with unit pivots (nonzero mod
-p, inverted mod q), and raise ValueError where a column has no unit left.
+Private variants eliminate modulo q = p^E up to 2^61 (a larger q is a
+BudgetExceededError) with unit pivots (nonzero mod p, inverted mod q), and
+raise ValueError where a column has no unit left.
 
 GF(2) is eliminated on bit-packed rows.  Other moduli go through column
 panels of `_PANEL` columns: one pivot at a time on the panel's columns,
 which picks the same rows and pivots J as a pass over the whole matrix,
-then one exact product (`_product`) updates every other row.  The
-product sums at most `_PANEL` terms below (q - 1)^2, exact in float64
-while that stays below 2^53; past it, and on Python-int matrices, the
-pivot loop runs alone.  Both ways give the same matrix and pivots, byte
-for byte.
+then one exact product (`_product`, on limbs of w bits) updates every
+other row.  Both ways give the same matrix and pivots, byte for byte.
 
-Two widths are in play.  Storage: a matrix mod q lives between
-eliminations at the narrowest unsigned dtype that holds 0 .. q-1
-(`_store_dtype`): uint8 for q <= 256, then uint16, uint32, and Python
-ints where the working width is.  The private eliminators and `_product`
-take and return that width.  Working: inside an elimination the matrix
-is copied to the narrowest signed dtype that holds a row update,
--(q-1)^2 .. q-1, and its reduction (`_fp_dtype`): int16 for q <= 181,
-then int32, int64, Python ints; `_product` sums in float32 or float64
-and reduces each row chunk at int64.  Reduction is a - q (a // q)
-(`_mod`): numpy vectorises floor division by a scalar but not the
-integer remainder, so this is several times cheaper than % and exact at
-every width.  The public `row_reduce`, `kernel_basis` and `solve` widen
-their results to int64 (`_widen`), so a caller's arithmetic cannot wrap.
+Matrices mod q are stored between eliminations at the narrowest unsigned
+dtype that holds 0 .. q-1, or int64 past 2^32 (`_store_dtype`), and worked
+at the narrowest signed dtype that holds a row update (`_fp_dtype`),
+reduced by floor division (`_mod`).  The private eliminators and
+`_product` take and return the storage width; the public `row_reduce`,
+`kernel_basis` and `solve` widen their results to int64 (`_widen`), so a
+caller's arithmetic cannot wrap.
 
 Integral invariants use that same unit-pivot elimination, one phase per
 power of p (`_local_phases`, `snf_p_local`).  `int_kernel_basis` and
@@ -43,6 +33,8 @@ benchmark's traced runs still wrap them.
 from __future__ import annotations
 
 import numpy as np
+
+from pgph.errors import BudgetExceededError
 
 __all__ = [
     "int_kernel_basis",
@@ -59,6 +51,7 @@ _PANEL = 128  # columns eliminated by the pivot loop between products
 _CHUNK = 1 << 18  # entries per row chunk of a float64 product or update
 _INT64_GUARD = 1 << 40  # switch integer elimination to Python ints beyond this
 _INT64_SAFE = 1 << 62  # bound every int64 row update stays below
+_MODULUS_CAP = 1 << 61  # the largest q that `_product` splits exactly
 
 
 def _matrix(a) -> np.ndarray:
@@ -68,31 +61,45 @@ def _matrix(a) -> np.ndarray:
     return arr
 
 
+def _limb(a: np.ndarray, i: int, n: int, w: int, real) -> np.ndarray:
+    """Limb i of ``a`` at ``real``: bits w(n-1-i) up to w(n-i), or all of ``a`` when n = 1."""
+    return a.astype(real) if n == 1 else ((a >> w * (n - 1 - i)) & (1 << w) - 1).astype(real)
+
+
 def _product(left: np.ndarray, right: np.ndarray, q: int) -> np.ndarray:
-    """left @ right mod q, exactly, at `_store_dtype(q)`.  Row chunks are
-    multiplied in float32 when inner (q-1)^2 < 2^24, else in float64 over
-    inner chunks short enough that no partial sum reaches 2^53; each chunk
-    is reduced at int64 and written into the narrow result.  A q so large
-    that a single product can reach 2^53 multiplies Python ints."""
+    """left @ right mod q, exactly, at `_store_dtype(q)`.  Both factors
+    split into n limbs of w bits (2w <= 52, bits(q-1) + w <= 62), n = 1
+    while (q-1)^2 < 2^53.  Limb pairs are multiplied over row chunks in
+    float32 when inner top^2 < 2^24, top the largest limb, else in float64
+    over inner chunks that keep each partial sum below 2^53, and reduced
+    at int64; the accumulator, below q, is shifted w bits (below 2^62)
+    before each next, less significant, sum of limb products."""
     store = _store_dtype(q)
-    if (q - 1) ** 2 >= 1 << 53:
-        return (left.astype(object) @ right.astype(object) % q).astype(store)
+    bits = (q - 1).bit_length()
+    n = 1 if (q - 1) ** 2 < 1 << 53 else -(-bits // min(26, 62 - bits))
+    w = -(-bits // n)
+    top = q - 1 if n == 1 else (1 << w) - 1
     inner = left.shape[1]
-    if inner * (q - 1) ** 2 < 1 << 24:
+    if inner * top ** 2 < 1 << 24:
         # every partial sum is a non-negative integer below 2^24: exact
         real, step = np.float32, max(inner, 1)
     else:
-        real, step = np.float64, ((1 << 53) - 1) // (q - 1) ** 2
-    parts = [(s, right[s : s + step].astype(real)) for s in range(0, inner, step)]
+        real, step = np.float64, ((1 << 53) - 1) // top ** 2
+    parts = [(s, [_limb(right[s : s + step], j, n, w, real) for j in range(n)])
+             for s in range(0, inner, step)]
     out = np.empty((left.shape[0], right.shape[1]), dtype=store)
     rows = max(1, _CHUNK // max(inner, 1))
     for lo in range(0, left.shape[0], rows):
         acc = np.zeros((min(rows, left.shape[0] - lo), right.shape[1]), dtype=np.int64)
-        for s, part in parts:
-            # the exact float sums are reduced at int64 by floor division
-            # (see `_mod`), several times cheaper than a float remainder
-            acc += (left[lo : lo + rows, s : s + step].astype(real) @ part).astype(np.int64)
-            _mod(acc, q)
+        for k in range(2 * n - 1):
+            if k:
+                acc <<= w
+            for s, part in parts:
+                for i in range(max(0, k - n + 1), min(k, n - 1) + 1):
+                    # exact float sums, reduced at int64 by floor division
+                    acc += (_limb(left[lo : lo + rows, s : s + step], i, n, w, real)
+                            @ part[k - i]).astype(np.int64)
+                    _mod(acc, q)
         out[lo : lo + rows] = acc
     return out
 
@@ -100,48 +107,47 @@ def _product(left: np.ndarray, right: np.ndarray, q: int) -> np.ndarray:
 def _mod(a: np.ndarray, q: int) -> np.ndarray:
     """Reduce ``a`` mod q in place, and return it.  numpy vectorises integer
     floor division by a scalar but not the remainder, so a - q (a // q) is
-    the cheap form; Python-int arrays keep %.  The steps run in place on
-    one temporary: an expression on temporaries makes numpy walk the C
-    stack to elide them, which maps about 0.5 MB of library pages the
-    first time."""
-    if a.dtype == object:
-        a %= q
-    else:
-        quotient = a // q
-        quotient *= q
-        a -= quotient
+    the cheap form.  The steps run in place on one temporary: an
+    expression on temporaries makes numpy walk the C stack to elide them,
+    which maps about 0.5 MB of library pages the first time."""
+    quotient = a // q
+    quotient *= q
+    a -= quotient
     return a
 
 
 def _fp_dtype(q: int):
     """The narrowest signed dtype that holds a row update, -(q-1)^2 .. q-1,
-    and its reduction; object (Python ints) past int64."""
+    and its reduction, up to int64; BudgetExceededError past `_MODULUS_CAP`."""
+    if q > _MODULUS_CAP:
+        raise BudgetExceededError("modulus", q, _MODULUS_CAP)
     bound = (q - 1) ** 2 + q
-    for dtype, safe in ((np.int16, 1 << 15), (np.int32, 1 << 31), (np.int64, _INT64_SAFE)):
+    for dtype, safe in ((np.int16, 1 << 15), (np.int32, 1 << 31)):
         if bound < safe:
             return dtype
-    return object
+    return np.int64
 
 
 def _store_dtype(q: int):
-    """The narrowest unsigned dtype that holds 0 .. q-1, in which matrices
-    mod q are kept between eliminations; object where `_fp_dtype` is."""
-    return object if _fp_dtype(q) is object else np.min_scalar_type(q - 1)
+    """The narrowest unsigned dtype that holds 0 .. q-1, for matrices mod q
+    between eliminations; int64 past 2^32, so no uint64 meets an int64."""
+    return np.min_scalar_type(q - 1) if q <= 1 << 32 else _fp_dtype(q)
 
 
 def _as_fp(a, q: int) -> np.ndarray:
-    """A fresh C-ordered copy of ``a`` reduced mod q at `_fp_dtype(q)`,
-    reduced at int64 first when ``a`` does not fit that dtype."""
+    """A fresh C-ordered copy of ``a`` reduced mod q at `_fp_dtype(q)`, via
+    int64 when ``a`` does not fit that dtype; Python ints are reduced first."""
     src = _matrix(a)
+    src = src % q if src.dtype == object else src
     dtype = _fp_dtype(q)
-    wide = dtype if dtype is object or np.can_cast(src.dtype, dtype) else np.int64
+    wide = dtype if np.can_cast(src.dtype, dtype) else np.int64
     arr = _mod(np.array(src, dtype=wide, order="C"), q)
     return arr if wide is dtype else arr.astype(dtype)
 
 
 def _widen(arr: np.ndarray) -> np.ndarray:
-    """A narrow mod-q matrix at int64; Python-int matrices as they are."""
-    return arr if arr.dtype == object else arr.astype(np.int64, copy=False)
+    """A narrow mod-q matrix at int64, the width public results have."""
+    return arr.astype(np.int64, copy=False)
 
 
 def _swap(arr: np.ndarray, i: int, j: int) -> None:
@@ -218,7 +224,9 @@ def _row_reduce_gf2(words: np.ndarray, limit: int, reduce_above: bool):
 
 def _pivot_loop(arr: np.ndarray, p: int, q: int, limit: int, reduce_above: bool):
     """Eliminate ``arr`` in place one pivot at a time; (pivots, swaps), the
-    row pairs swapped in order."""
+    row pairs swapped in order.  Rows update by `_product` once (q-1)^2 + q
+    >= 2^62, where int64 could overflow."""
+    wide = (q - 1) ** 2 + q >= _INT64_SAFE
     m = arr.shape[0]
     pivots, swaps = [], []
     r = 0
@@ -235,7 +243,8 @@ def _pivot_loop(arr: np.ndarray, p: int, q: int, limit: int, reduce_above: bool)
             swaps.append((r, pr))
         inv = pow(int(arr[r, c]), -1, q)
         if inv != 1:
-            arr[r] = _mod(arr[r] * inv, q)
+            arr[r] = (_product(np.array([[inv]]), arr[None, r], q) if wide
+                      else _mod(arr[r] * inv, q))
         if q == p:
             # the row swapped down is zero in this column, and the pivot
             # row is zero left of its pivot
@@ -247,7 +256,8 @@ def _pivot_loop(arr: np.ndarray, p: int, q: int, limit: int, reduce_above: bool)
             rows = np.concatenate([np.nonzero(arr[:r, c])[0], rows])
         if rows.size:
             block = arr[rows, start:]
-            block -= block[:, c - start, None] * arr[r, start:]
+            mult = block[:, c - start, None]
+            block -= _product(mult, arr[None, r, start:], q) if wide else mult * arr[r, start:]
             arr[rows, start:] = _mod(block, q)
         pivots.append(c)
         r += 1
@@ -260,7 +270,7 @@ def _row_reduce_dense(arr: np.ndarray, p: int, q: int, limit: int, reduce_above:
     row - row[J] @ top, with top = B^-1 @ rows[picked], B = rows[picked][:, J].
     The results are the loop's, byte for byte."""
     m = arr.shape[0]
-    if min(m, limit) <= _PANEL or _PANEL * (q - 1) ** 2 >= 1 << 53:
+    if min(m, limit) <= _PANEL:
         return arr, _pivot_loop(arr, p, q, limit, reduce_above)[0]
     step = max(1, _CHUNK // arr.shape[1])
     pivots: list[int] = []
@@ -485,7 +495,7 @@ def _local_phases(a, p: int, top: int, width: int):
     columns, which are divided by p before the next phase.
     """
     diag: list[int] = []
-    rest = a % p ** top
+    rest = _as_fp(a, p ** top)
     for v in range(top):
         mod = p ** (top - v)
         reduced, pivots = _row_reduce_dense(_as_fp(rest, mod), p, mod, width,

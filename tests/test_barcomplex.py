@@ -359,11 +359,22 @@ def test_triple_across_two_primes_is_refused():
         integral_induced_triple(hom, 1)
 
 
-@pytest.mark.parametrize("p", [101, 239])
+def test_integral_chain_past_the_block_sum_bound_is_refused(monkeypatch):
+    # tensoring sums |Q| residues mod q at int64, so q |Q| must stay below
+    # the bound; patched to 243 it refuses C3 (3^4 * 3 = 243), not C2 (32)
+    monkeypatch.setattr(linalg, "_INT64_SAFE", 243)
+    with pytest.raises(BudgetExceededError, match="integral modulus"):
+        integral_homology(cyclic(3), 1)
+    assert integral_homology(cyclic(2), 1).invariants == [2]
+
+
+@pytest.mark.parametrize("p", [101, 239, 509])
 def test_integral_homology_of_large_prime_cyclic_groups(p):
-    # modulo p^4 the exact products run on Python ints from p = 101 on,
-    # and the eliminator from p = 223 on; from p = 239 on, (p^4)^2
-    # overflows int64
+    # modulo p^4 the exact products split their entries into two limbs
+    # from p = 101 on; from p = 223 on, a row update could pass int64, so
+    # the pivot loop updates through that product too; from p = 257 on
+    # the matrices are stored at int64
     g = cyclic(p)
-    assert integral_homology(g, 1).invariants == oracles.bar_integral_homology(g.cayley, 1)
+    if p < 509:  # the bar oracle's (p-1)^2 rows take minutes at 509
+        assert integral_homology(g, 1).invariants == oracles.bar_integral_homology(g.cayley, 1)
     assert [integral_homology(g, n).invariants for n in (1, 2, 3)] == [[p], [], [p]]

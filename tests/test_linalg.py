@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgph import linalg
+from pgph.errors import BudgetExceededError
 from oracles import (det_exact, kernel_vectors_mod_p, mat_mul_int, rank_mod_p,
                      rref_mod_p, smith_diagonal_by_minors, smith_normal_form)
 
@@ -16,6 +17,9 @@ def test_rank_hand_values():
     assert linalg.rank([[1, 1], [1, 1]], 2) == 1
     assert linalg.rank([[1, 2], [2, 4]], 5) == 1
     assert linalg.rank([[1, 2], [2, 1]], 3) == 1  # second row = 2 * first mod 3
+    # entries past int64 are reduced on the way in: mod 3 the second row is 0
+    assert linalg.rank([[2**70, 1], [3, 2**65 + 1]], 3) == 1
+    assert linalg.rank([[2**70, 1], [3, 2**65 + 1]], 2) == 2
 
 
 def test_rank_empty_shapes():
@@ -115,12 +119,15 @@ def test_public_results_are_int64(p):
     assert linalg._kernel_basis_mod(a, p, p).dtype == linalg._store_dtype(p) == np.uint8
 
 
-@pytest.mark.parametrize("q, inner", [(2053, 3), (2053, 4), (67108879, 5)])
+@pytest.mark.parametrize("q, inner", [(2053, 3), (2053, 4), (67108879, 5),
+                                      (94906267, 3), (509 ** 4, 4), ((1 << 61) - 1, 3)])
 def test_product_is_exact_at_the_float_edges(monkeypatch, q, inner):
     # inner (q-1)^2 < 2^24 runs in float32, so width 3 at q = 2053 does
     # and width 4 does not; 67108879 needs three float64 inner chunks.
     # Sums just past 2^24 and odd are the ones float32 would round.  Row
-    # chunks of two rows each land in the narrow result
+    # chunks of two rows each land in the narrow result.  94906267 is the
+    # first q with (q-1)^2 >= 2^53, split into two limbs of 14 bits; 509^4
+    # takes two limbs of 18 bits, and 2^61 - 1 sixty-one limbs of one bit
     monkeypatch.setattr(linalg, "_CHUNK", 2 * inner)
     full = np.full((3, inner), q - 1, dtype=np.int64)
     full[1, -1] = full[2, 0] = q - 2
@@ -142,10 +149,12 @@ def test_elimination_mod_a_prime_power():
     # with a unit pivot in every column both are exact mod q
     rng = np.random.default_rng(11)
     checked = 0
-    # 13^2 and 3^5 are worked at int16 and int32, 3^10 at int64, and 223^4
-    # in Python ints; 2^8 is stored at uint8, where -x mod q wraps
+    # 13^2 and 3^5 are worked at int16 and int32, 3^10 at int64; 223^4 is
+    # stored at uint32, 509^4 and 3163^4 at int64, and their row updates go
+    # through the limb product; 2^8 is stored at uint8, where -x mod q wraps
     for p, q in ((2, 16), (3, 81), (5, 5 ** 6), (13, 13 ** 2), (3, 3 ** 5),
-                 (3, 3 ** 10), (223, 223 ** 4), (2, 2 ** 8)):
+                 (3, 3 ** 10), (223, 223 ** 4), (2, 2 ** 8), (509, 509 ** 4),
+                 (3163, 3163 ** 4)):
         for _ in range(30):
             m = int(rng.integers(1, 7))
             a = rng.integers(0, q, size=(m, int(rng.integers(0, m + 1))))
@@ -155,11 +164,13 @@ def test_elimination_mod_a_prime_power():
                 continue
             kernel = linalg._kernel_basis_mod(a, p, q)
             assert kernel.shape == (m - a.shape[1], m)
+            assert kernel.dtype == linalg._store_dtype(q) != object
             assert not (kernel @ a % q).any()
             # a free summand of rank m - cols, so all of the kernel
             assert linalg.rank(kernel, p) == len(kernel)
             x = rng.integers(0, q, size=(3, m))
             solved = linalg._solve_mod(a, x @ a % q, p, q)
+            assert solved.dtype == linalg._store_dtype(q) != object
             assert np.array_equal(solved @ a % q, x @ a % q)
             checked += 1
     assert checked > 30
@@ -195,10 +206,18 @@ def _rank_deficient(rng, q, m, n, r=None):
     some columns replaced by multiples of earlier ones so that pivots spread
     across panels."""
     r = int(rng.integers(1, min(m, n))) if r is None else r
-    a = rng.integers(0, q, size=(m, r)) @ rng.integers(0, q, size=(r, n)) % q
+    # X and the multipliers stay below 2^63 / (q max(m, n)), so that int64
+    # holds every sum; for the small q of the older inputs that is past q
+    low = min(q, (1 << 63) // (q * max(m, n)))
+    a = rng.integers(0, low, size=(m, r)) @ rng.integers(0, q, size=(r, n)) % q
     for j in rng.choice(np.arange(1, n), size=n // 3, replace=False):
-        a[:, j] = a[:, rng.integers(0, j)] * rng.integers(0, q) % q
+        a[:, j] = a[:, rng.integers(0, j)] * rng.integers(0, low) % q
     return a
+
+
+def _exact(x, q):
+    """``x`` as Python ints from q = 2^31 on, where int64 products wrap."""
+    return x if q < 1 << 31 else x.astype(object)
 
 
 def _eliminations(a, p, q, limit, rng):
@@ -211,7 +230,8 @@ def _eliminations(a, p, q, limit, rng):
         "echelon_limit": lambda: linalg._reduce(a, p, q, pivot_limit=limit,
                                                 reduce_above=False),
         "kernel": lambda: linalg._kernel_basis_mod(a, p, q),
-        "solve": lambda: linalg._solve_mod(a, rng.integers(0, q, size=(3, m)) @ a % q, p, q),
+        "solve": lambda: linalg._solve_mod(a, _exact(rng.integers(0, q, size=(3, m)), q) @ a % q,
+                                           p, q),
     }
     if q == p:
         calls["pivots"] = lambda: linalg.pivot_columns(a, p)
@@ -234,8 +254,10 @@ def test_panels_match_the_pivot_loop(monkeypatch, panel, sizes):
     # the pivot loop over the whole matrix is the reference, byte for byte
     if panel is not None:
         monkeypatch.setattr(linalg, "_PANEL", panel)
+    # panels run at 509^4 and 2^40 too, with the limb product in the pivot
+    # loop as well
     for p, q in ((3, 3), (5, 5), (7, 7), (3, 9), (2, 16), (3, 81),
-                 (13, 169), (181, 181), (3, 243), (191, 191)):
+                 (13, 169), (181, 181), (3, 243), (191, 191), (509, 509 ** 4), (2, 2 ** 40)):
         rng = np.random.default_rng([p, q, sizes[0]])
         m, n = (int(v) for v in rng.integers(*sizes, size=2))
         a = _rank_deficient(rng, q, m, n)
@@ -254,7 +276,11 @@ def test_panels_match_the_pivot_loop(monkeypatch, panel, sizes):
             assert np.array_equal(got[name], want[name]), (p, q, name)
             assert np.asarray(got[name]).dtype == np.asarray(want[name]).dtype
         if not isinstance(got["kernel"], str):
-            assert not (got["kernel"] @ a % q).any()
+            if q < 1 << 31:
+                assert not (got["kernel"] @ a % q).any()
+            else:  # Freivalds' check in Python ints: K (a v) = 0 for a random v
+                v = _exact(rng.integers(0, q, size=(n, 1)), q)
+                assert not (_exact(got["kernel"], q) @ (a @ v % q) % q).any()
         if q == p:
             assert np.array_equal(linalg.kernel_basis(a, p), got["kernel"])
             assert np.array_equal(linalg.row_reduce(a, p, limit, False)[0],
@@ -446,5 +472,8 @@ def test_snf_p_local_hand_values():
     assert linalg.snf_p_local([[2, 0], [0, 12]], 3, 2) == [1, 3]
     assert linalg.snf_p_local([[8, 0, 0], [0, 3, 0]], 2, 3) == [1, 0]
     assert linalg.snf_p_local(np.zeros((3, 0), dtype=np.int8), 2, 2) == []
-    big = 1 << 70  # beyond int64 on input, and a modulus beyond it too
-    assert linalg.snf_p_local([[big, 1], [0, 6]], 2, 80) == [1, 2 ** 71]
+    big = 1 << 70  # beyond int64 on input, reduced mod 2^60 on the way in
+    assert linalg.snf_p_local([[big, 1], [0, 6]], 2, 60) == [1, 0]
+    # a modulus past 2^61 has no exact fixed-width representation
+    with pytest.raises(BudgetExceededError, match="modulus"):
+        linalg.snf_p_local([[big, 1], [0, 6]], 2, 80)
