@@ -33,7 +33,7 @@ from itertools import product
 import numpy as np
 
 from pgph import linalg
-from pgph.config import Budgets, default_budgets
+from pgph.config import default_budgets
 from pgph.errors import BudgetExceededError, ConsistencyError
 from pgph.groups import FiniteGroup, GroupHom
 from pgph.resolution import MinimalResolution, _chain_map, _prime, _resolution
@@ -51,13 +51,12 @@ def _tuple_index(order: int, tup) -> int:
     return idx
 
 
-def bar_boundary(group: FiniteGroup, n: int,
-                 budgets: Budgets | None = None) -> np.ndarray:
+def bar_boundary(group: FiniteGroup, n: int) -> np.ndarray:
     """The matrix of d_n, rows indexed by degree-n tuples (int8 entries)."""
     order = group.order
     rows = _tuple_count(order, n)
     cols = _tuple_count(order, n - 1)
-    (budgets or default_budgets()).check_fp("bar boundary", rows * max(cols, 1))
+    default_budgets().check_fp("bar boundary", rows * max(cols, 1))
     out = np.zeros((rows, cols), dtype=np.int8)
     if n == 0:
         return out
@@ -75,13 +74,12 @@ def bar_boundary(group: FiniteGroup, n: int,
     return out
 
 
-def bar_homology_fp(group: FiniteGroup, p: int, n: int,
-                    budgets: Budgets | None = None) -> int:
+def bar_homology_fp(group: FiniteGroup, p: int, n: int) -> int:
     """dim H_n(G, F_p) straight from the bar complex."""
     if n == 0:
         return 1
-    lower = linalg.rank(bar_boundary(group, n, budgets), p)
-    upper = linalg.rank(bar_boundary(group, n + 1, budgets), p)
+    lower = linalg.rank(bar_boundary(group, n), p)
+    upper = linalg.rank(bar_boundary(group, n + 1), p)
     return _tuple_count(group.order, n) - lower - upper
 
 
@@ -133,13 +131,12 @@ def _homology(res: MinimalResolution, n: int, e: int):
     return upper, cycles
 
 
-def integral_homology(group: FiniteGroup, n: int,
-                      budgets: Budgets | None = None) -> IntegralHomology:
+def integral_homology(group: FiniteGroup, n: int) -> IntegralHomology:
     """H_n(G, Z) of a p-group G, from its minimal resolution mod p^(2e)."""
-    return IntegralHomology(group, n, _chain_triples([group], [], n, budgets)[0, 0][0])
+    return IntegralHomology(group, n, _chain_triples([group], [], n)[0, 0][0])
 
 
-def _chain_triples(groups, links, n: int, budgets: Budgets | None = None) -> dict:
+def _chain_triples(groups, links, n: int) -> dict:
     """(A, B, C) of every composite H_n(Q_i, Z) -> H_n(Q_j, Z), i <= j, along
     groups Q_0, ..., Q_(N-1) joined by ``links`` Q_t -> Q_(t+1), keyed (i, j);
     C reads the cycles of Q_i pushed through f_i ... f_(j-1) mod p^e."""
@@ -148,16 +145,15 @@ def _chain_triples(groups, links, n: int, budgets: Budgets | None = None) -> dic
         cell = ([0], [0], []) if n == 0 else ([], [], [])
         return {(i, j): cell for i in range(len(groups)) for j in range(i, len(groups))}
     e = max(_exponent(g, p) for g in groups)
-    budgets = budgets or default_budgets()
     q = p ** (2 * e)
     # the block sums of |Q| residues mod q (`resolution._block_sums`) are int64
     if (needed := q * max(g.order for g in groups)) >= linalg._INT64_SAFE:
         raise BudgetExceededError("integral modulus times order", needed, linalg._INT64_SAFE - 1)
     resolutions = [_resolution(g, p, q) for g in groups]
     for res in resolutions:
-        res.extend_to(n + 1, budgets)
+        res.extend_to(n + 1)
     torsion, cycles = zip(*(_homology(res, n, e) for res in resolutions))
-    maps = [_chain_map(hom, q).homology_matrix(n, budgets) % p ** e for hom in links]
+    maps = [_chain_map(hom, q).homology_matrix(n) % p ** e for hom in links]
     triples = {}
     for i, pushed in enumerate(cycles):
         triples[i, i] = (torsion[i], torsion[i], [])
@@ -168,8 +164,7 @@ def _chain_triples(groups, links, n: int, budgets: Budgets | None = None) -> dic
     return triples
 
 
-def integral_induced_triple(hom: GroupHom, n: int,
-                            budgets: Budgets | None = None):
+def integral_induced_triple(hom: GroupHom, n: int):
     """(A, B, C): invariants of H_n(source, Z), H_n(target, Z) and of the
     cokernel of the induced map, for a hom between p-groups of one prime."""
-    return _chain_triples([hom.source, hom.target], [hom], n, budgets)[0, 1]
+    return _chain_triples([hom.source, hom.target], [hom], n)[0, 1]

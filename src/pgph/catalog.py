@@ -212,15 +212,22 @@ def _group_file_error(path: str, reason: str) -> DataError:
     return DataError(f"{os.path.basename(path)}: {reason}")
 
 
-def load_group_file(path: str) -> CatalogEntry:
-    """Read one JSON group file (1-based generator image lists)."""
+def _read_json(path: str):
+    """The JSON value in a UTF-8 file; a DataError naming the file if none."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+            return json.load(handle)
     except OSError as exc:
         raise _group_file_error(path, f"cannot read: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _group_file_error(path, f"not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise _group_file_error(path, f"invalid JSON: {exc}") from exc
+
+
+def load_group_file(path: str) -> CatalogEntry:
+    """Read one JSON group file (1-based generator image lists)."""
+    data = _read_json(path)
     if not isinstance(data, dict):
         raise _group_file_error(path, "top level is not an object")
     name = data.get("name")
@@ -263,11 +270,7 @@ def load_catalog(path: str) -> list[CatalogEntry]:
     index_path = os.path.join(path, "index.json")
     if not os.path.exists(index_path):
         return []
-    try:
-        with open(index_path, "r", encoding="utf-8") as handle:
-            index = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise _group_file_error(index_path, f"invalid JSON: {exc}") from exc
+    index = _read_json(index_path)
     names = index.get("groups") if isinstance(index, dict) else None
     if (not isinstance(names, list)
             or not all(isinstance(n, str) and n for n in names)):

@@ -194,8 +194,7 @@ def tree_links(kind: str, level: int) -> GroupHom:
     return _tower(kind, level + 1)[1][0]
 
 
-def tree_persistence(kind: str, degree: int, l_min: int, l_max: int,
-                     budgets=None) -> dict:
+def tree_persistence(kind: str, degree: int, l_min: int, l_max: int) -> dict:
     """Image dimensions of the homology maps down the coclass tree.
 
     For each level l in ``l_min..l_max - 1`` the report row lists
@@ -220,8 +219,7 @@ def tree_persistence(kind: str, degree: int, l_min: int, l_max: int,
                         f"(l_min = {l_min}, l_max = {l_max})")
     groups, links = _tower(kind, l_max)
     width = l_max - l_min + 1
-    m = _matrix_for_chain(groups[:width], links[:width - 1], "L", degree,
-                          budgets, "").matrix
+    m = _matrix_for_chain(groups[:width], links[:width - 1], "L", degree, "").matrix
     # groups[i] has level l_max - i, so nu(lvl, k) is entry (i, j) with
     # i = l_max - lvl - k and j = l_max - lvl
     image_dims = [[int(m[l_max - lvl - k, l_max - lvl])
@@ -248,8 +246,7 @@ def tree_persistence(kind: str, degree: int, l_min: int, l_max: int,
     }
 
 
-def verify_tree_h2_bound(kind: str, l_min: int, l_max: int,
-                         budgets=None) -> dict:
+def verify_tree_h2_bound(kind: str, l_min: int, l_max: int) -> dict:
     """Check the degree-2 consequences of tree stabilization on a family.
 
     The stable degree-2 dimension is estimated on the dihedral path (levels
@@ -268,8 +265,7 @@ def verify_tree_h2_bound(kind: str, l_min: int, l_max: int,
     if l_min < _MIN_LEVEL[kind]:
         raise DataError(f"{kind} family starts at level {_MIN_LEVEL[kind]}, "
                         f"got l_min = {l_min}")
-    estimate = tree_persistence("dihedral", 2, 3, max(l_max, 5),
-                                budgets)["stabilizedDim"]
+    estimate = tree_persistence("dihedral", 2, 3, max(l_max, 5))["stabilizedDim"]
     if estimate is None:
         return {"family": kind, "levels": list(range(l_min, l_max + 1)),
                 "estimatedStableDim": None, "checks": [], "passed": False,
@@ -278,7 +274,7 @@ def verify_tree_h2_bound(kind: str, l_min: int, l_max: int,
     members = {lvl: family(kind, lvl) for lvl in range(l_min, l_max + 1)}
     checks = []
     for lvl, group in members.items():
-        h2 = minimal_resolution(group, 2, budgets=budgets).ranks[2]
+        h2 = minimal_resolution(group, 2).ranks[2]
         passed = h2 >= estimate if leaf else h2 == estimate + 1
         checks.append({
             "level": lvl,

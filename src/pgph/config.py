@@ -5,7 +5,9 @@ to materialize: mod-p work and the bar-complex oracle count against the F_p
 budget, the mod-p^E resolutions behind integral invariants against the
 integer one.  The environment variable ``PGPH_BUDGET`` overrides them:
 either a single integer applied to both budgets, or a comma-separated list
-of ``fp=N`` / ``int=N`` assignments.
+of ``fp=N`` / ``int=N`` assignments.  It is the only source of budgets:
+each resolution or chain-map extension, and each bar boundary, reads it
+through `default_budgets` when it starts.
 """
 
 from __future__ import annotations
@@ -36,9 +38,9 @@ class Budgets:
             raise BudgetExceededError(stage, entries, self.int_entries)
 
 
-def default_budgets(env: str | None = None) -> Budgets:
+def default_budgets() -> Budgets:
     """Budgets after applying the PGPH_BUDGET override, if any."""
-    raw = os.environ.get("PGPH_BUDGET") if env is None else env
+    raw = os.environ.get("PGPH_BUDGET")
     if not raw:
         return Budgets()
     fp, integral = DEFAULT_FP_ENTRIES, DEFAULT_INT_ENTRIES

@@ -414,8 +414,7 @@ def quotient_chain(group: FiniteGroup, kind: str) -> QuotientChain:
     return QuotientChain(group, kind, tuple(quotients), tuple(maps), tuple(projections))
 
 
-def group_from_permutations(perms: Sequence[Sequence[int]],
-                            order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def group_from_permutations(perms: Sequence[Sequence[int]]) -> FiniteGroup:
     """Close a list of permutations (0-based image tuples) into a group.
 
     Elements are numbered breadth-first from the identity, right-multiplying
@@ -423,6 +422,7 @@ def group_from_permutations(perms: Sequence[Sequence[int]],
     left factor first), so the numbering is reproducible.  If element j was
     first reached as x * g_k, then a * j = (a * x) * g_k, so column j of the
     Cayley table is column x sent through right multiplication by g_k.
+    A closure past DEFAULT_ORDER_CAP elements is a BudgetExceededError.
     """
     if not perms:
         raise DataError("at least one generating permutation is required")
@@ -444,9 +444,9 @@ def group_from_permutations(perms: Sequence[Sequence[int]],
             prod = tuple(gen[v] for v in elem)
             j = index.get(prod)
             if j is None:
-                if len(elements) >= order_cap:
+                if len(elements) >= DEFAULT_ORDER_CAP:
                     raise BudgetExceededError("permutation closure",
-                                              order_cap + 1, order_cap)
+                                              DEFAULT_ORDER_CAP + 1, DEFAULT_ORDER_CAP)
                 j = index[prod] = len(elements)
                 elements.append(prod)
                 parents.append((x, k))

@@ -26,7 +26,7 @@ import numpy as np
 
 from pgph import linalg
 from pgph.barcomplex import _chain_triples
-from pgph.config import Budgets
+from pgph.config import default_budgets
 from pgph.errors import ConsistencyError, DataError, PgphError
 from pgph.groups import (FiniteGroup, GroupHom, Subgroup, min_generators,
                          quotient_chain, series)
@@ -152,15 +152,13 @@ class InvariantFingerprint:
 
 def _matrix_for_chain(quotients: Sequence[FiniteGroup],
                       maps: Sequence[GroupHom], functor: str, degree: int,
-                      budgets: Budgets | None, name: str) -> PersistenceMatrix:
+                      name: str) -> PersistenceMatrix:
     """Entry (i, j) is the rank of the composite of ``maps[i:j]`` in degree
     ``degree``; the diagonal holds the homology dimensions of ``quotients``."""
     p = quotients[0].prime
     n_terms = len(quotients)
-    dims = [minimal_resolution(q, degree, budgets=budgets).ranks[degree]
-            for q in quotients]
-    links = [induced_map(maps[t], degree, budgets)
-             for t in range(n_terms - 1)]
+    dims = [minimal_resolution(q, degree).ranks[degree] for q in quotients]
+    links = [induced_map(maps[t], degree) for t in range(n_terms - 1)]
     m = np.zeros((n_terms, n_terms), dtype=np.int64)
     for i in range(n_terms):
         m[i, i] = dims[i]
@@ -174,9 +172,9 @@ def _matrix_for_chain(quotients: Sequence[FiniteGroup],
 
 def _integral_for_chain(quotients: Sequence[FiniteGroup],
                         maps: Sequence[GroupHom], functor: str, degree: int,
-                        budgets: Budgets | None, name: str) -> IntegralPersistenceMatrix:
+                        name: str) -> IntegralPersistenceMatrix:
     """`_matrix_for_chain` over Z: cell (i, j) is the (A, B, C) triple."""
-    cells = _chain_triples(quotients, maps, degree, budgets)
+    cells = _chain_triples(quotients, maps, degree)
     rows = tuple(
         tuple(None if j < i else tuple(map(tuple, cells[i, j])) for j in range(len(quotients)))
         for i in range(len(quotients)))
@@ -184,26 +182,22 @@ def _integral_for_chain(quotients: Sequence[FiniteGroup],
     return IntegralPersistenceMatrix(name, functor, degree, orders, rows)
 
 
-def persistence_matrix(group: FiniteGroup, functor: str, degree: int,
-                       budgets: Budgets | None = None,
+def persistence_matrix(group: FiniteGroup, functor: str, degree: int, *,
                        name: str = "") -> PersistenceMatrix:
     """The degree-``degree`` persistence matrix of ``group`` over ``functor``."""
     if degree < 0:
         raise DataError(f"homology degree must be nonnegative: {degree}")
     chain = quotient_chain(group, functor)
-    return _matrix_for_chain(chain.quotients, chain.maps, functor, degree,
-                             budgets, name)
+    return _matrix_for_chain(chain.quotients, chain.maps, functor, degree, name)
 
 
-def persistence_sequence(group: FiniteGroup, functor: str, max_degree: int,
-                         budgets: Budgets | None = None,
+def persistence_sequence(group: FiniteGroup, functor: str, max_degree: int, *,
                          name: str = "") -> list[PersistenceMatrix]:
     """Matrices for degrees 1..max_degree, sharing one chain and resolutions."""
     if max_degree < 1:
         raise DataError(f"max degree must be at least 1: {max_degree}")
     chain = quotient_chain(group, functor)
-    return [_matrix_for_chain(chain.quotients, chain.maps, functor, degree,
-                              budgets, name)
+    return [_matrix_for_chain(chain.quotients, chain.maps, functor, degree, name)
             for degree in range(1, max_degree + 1)]
 
 
@@ -242,15 +236,13 @@ def matrix_from_barcode(bc: Barcode) -> PersistenceMatrix:
     return PersistenceMatrix("", "", bc.degree, (), m)
 
 
-def integral_persistence_matrix(group: FiniteGroup, functor: str, degree: int,
-                                budgets: Budgets | None = None,
+def integral_persistence_matrix(group: FiniteGroup, functor: str, degree: int, *,
                                 name: str = "") -> IntegralPersistenceMatrix:
     """Triples of abelian invariants for H_degree(-, Z) along the chain."""
     if degree < 0:
         raise DataError(f"homology degree must be nonnegative: {degree}")
     chain = quotient_chain(group, functor)
-    return _integral_for_chain(chain.quotients, chain.maps, functor, degree,
-                               budgets, name)
+    return _integral_for_chain(chain.quotients, chain.maps, functor, degree, name)
 
 
 def _serialize_matrix(pm: PersistenceMatrix) -> str:
@@ -268,18 +260,17 @@ def _serialize_integral(ipm: IntegralPersistenceMatrix) -> str:
     return f"{ipm.functor};N={ipm.size};n={ipm.degree};{cells}"
 
 
-def fingerprint(group: FiniteGroup, functor: str, max_degree: int,
-                integral: bool = False, budgets: Budgets | None = None,
-                name: str = "") -> InvariantFingerprint:
+def fingerprint(group: FiniteGroup, functor: str, max_degree: int, *,
+                integral: bool = False, name: str = "") -> InvariantFingerprint:
     """Degree-separated canonical form of the matrix sequence of a group."""
     if integral:
         chain = quotient_chain(group, functor)
         serials = tuple(
             _serialize_integral(_integral_for_chain(
-                chain.quotients, chain.maps, functor, n, budgets, name))
+                chain.quotients, chain.maps, functor, n, name))
             for n in range(1, max_degree + 1))
     else:
-        seq = persistence_sequence(group, functor, max_degree, budgets, name)
+        seq = persistence_sequence(group, functor, max_degree, name=name)
         serials = tuple(_serialize_matrix(pm) for pm in seq)
     return InvariantFingerprint(name, functor, max_degree, serials)
 
@@ -291,9 +282,8 @@ def _partition(names: list[str], key) -> tuple[tuple[str, ...], ...]:
     return tuple(sorted(tuple(sorted(v)) for v in buckets.values()))
 
 
-def classify(catalog, functor: str, max_degree: int,
-             integral: bool = False, budgets: Budgets | None = None,
-             workers: int | None = None) -> dict:
+def classify(catalog, functor: str, max_degree: int, *,
+             integral: bool = False, workers: int | None = None) -> dict:
     """Partition a catalog of groups by their matrix-sequence fingerprints.
 
     ``catalog`` is a name -> group mapping or an iterable of (name, group)
@@ -306,6 +296,9 @@ def classify(catalog, functor: str, max_degree: int,
     validated for compatibility (a negative count is a DataError) but ignored:
     the elimination holds the GIL, so threads ran no faster, and worker
     processes would lose the resolution caches that later calls reuse.
+    Budgets come from PGPH_BUDGET, parsed before any group is fingerprinted,
+    so a bad value is a DataError of the call; a group its budgets refuse
+    is listed under ``failures``, and the call raises only when all are.
     """
     if isinstance(catalog, Mapping):
         pairs = [(str(k), v) for k, v in catalog.items()]
@@ -319,14 +312,15 @@ def classify(catalog, functor: str, max_degree: int,
         raise DataError(f"max degree must be at least 1: {max_degree}")
     if workers is not None and workers < 0:
         raise DataError(f"workers must not be negative: {workers}")
+    default_budgets()  # a bad PGPH_BUDGET is no group's fault: raise it here
 
     serials: dict[str, tuple[str, ...]] = {}
     failures: list[dict] = []
     errors: list[PgphError] = []
     for name, group in pairs:
         try:
-            serials[name] = fingerprint(group, functor, max_degree, integral,
-                                        budgets, name).serialized
+            serials[name] = fingerprint(group, functor, max_degree,
+                                        integral=integral, name=name).serialized
         except ConsistencyError:
             raise  # a defect, not a group this run could not finish
         except PgphError as exc:
@@ -457,8 +451,7 @@ def _section_p_rank(group: FiniteGroup, upper: Subgroup, lower: Subgroup,
     return rank
 
 
-def verify_lower_central_barcodes(group: FiniteGroup,
-                                  budgets: Budgets | None = None) -> dict:
+def verify_lower_central_barcodes(group: FiniteGroup) -> dict:
     """Structural checks on the lower central bar codes of a p-group.
 
     Degree 1: exactly min-generator-count bars, all full length.  Degree 2:
@@ -467,8 +460,8 @@ def verify_lower_central_barcodes(group: FiniteGroup,
     compared against the series sections computed by group arithmetic.
     """
     p = group.prime
-    bc1 = barcode(persistence_matrix(group, "L", 1, budgets))
-    bc2 = barcode(persistence_matrix(group, "L", 2, budgets))
+    bc1 = barcode(persistence_matrix(group, "L", 1))
+    bc2 = barcode(persistence_matrix(group, "L", 2))
     n_cols = bc1.columns
     gen_count = len(min_generators(group))
 

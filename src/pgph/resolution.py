@@ -21,9 +21,11 @@ radical with its columns reversed (`linalg.pivot_columns`).  Chain maps
 are lifted the same way, against the target's D_n (`linalg._solve_mod`).
 Each level checks K_n D_n = 0 exactly, that D_n has full column rank
 (exactness), and that K_n has zero block sums (minimality of the level
-before); a failure is a ConsistencyError.  Each call checks its budgets
-against every level it needs, cached or not, so whether a call is
-refused does not depend on the cache.
+before); a failure is a ConsistencyError.  Each extension reads its
+budgets from PGPH_BUDGET once, at its start, and checks them against
+every level it needs, cached or not: whether a call is refused does not
+depend on the cache, and a later change to the variable leaves an
+extension already in flight alone.
 
 The same engine resolves Z/q over (Z/q)[G], q = p^E: a minimal Z_p[G]-
 resolution reduced mod q, with the ranks b_n.  Kernels and lifts are
@@ -161,8 +163,8 @@ class MinimalResolution:
         self.lead.append(lead)
         self.ranks.append(len(picks))
 
-    def extend_to(self, degree: int, budgets: Budgets | None = None) -> None:
-        budgets = budgets or default_budgets()
+    def extend_to(self, degree: int) -> None:
+        budgets = default_budgets()
         n_gens = len(self.group.minimal_generators())
         for n in range(degree):
             # level n + 1 needs D_n and the radical of K_n, d k_n x k_n with
@@ -182,15 +184,12 @@ class MinimalResolution:
         return _block_sums(self.gen_images[n], self.group.order, self.modulus)
 
 
-def minimal_resolution(group: FiniteGroup, degree: int,
-                       budgets: Budgets | None = None) -> MinimalResolution:
+def minimal_resolution(group: FiniteGroup, degree: int) -> MinimalResolution:
     """The cached minimal resolution of ``group`` over F_p, p the prime of
     the p-group ``group``, computed through ``degree``."""
     p = _prime(group)
     res = _resolution(group, p, p)
-    # budgets go with the call, not the shared object, so a caller never
-    # changes the limits of an extension already in flight
-    res.extend_to(degree, budgets)
+    res.extend_to(degree)
     return res
 
 
@@ -207,12 +206,11 @@ def _resolution(group: FiniteGroup, prime: int, modulus: int) -> MinimalResoluti
                    lambda: MinimalResolution(group, prime, modulus))
 
 
-def homology_dims(group: FiniteGroup, n_max: int,
-                  budgets: Budgets | None = None) -> list[int]:
+def homology_dims(group: FiniteGroup, n_max: int) -> list[int]:
     """dim H_n(G, F_p) for n = 0..n_max."""
     if n_max < 0:
         raise DataError(f"homology degree must be nonnegative: {n_max}")
-    res = minimal_resolution(group, n_max, budgets=budgets)
+    res = minimal_resolution(group, n_max)
     return list(res.ranks[: n_max + 1])
 
 
@@ -245,10 +243,11 @@ class _ChainMap:
         targets = linalg._product(self.source.gen_images[n], previous, q)
         return linalg._solve_mod(self.target.coordinate_differential(n), targets, p, q)
 
-    def extend_to(self, degree: int, budgets: Budgets) -> None:
+    def extend_to(self, degree: int) -> None:
+        budgets = default_budgets()
         source, target = self.source, self.target
-        source.extend_to(degree, budgets)
-        target.extend_to(degree, budgets)
+        source.extend_to(degree)
+        target.extend_to(degree)
         for n in range(1, degree + 1):
             # level n needs f_(n-1) at the target's leading columns, and the
             # target's D_n; cached levels are checked too, as in resolutions
@@ -260,9 +259,9 @@ class _ChainMap:
                     if len(self.levels) <= n:
                         self.levels.append(self._lift(n))
 
-    def homology_matrix(self, n: int, budgets: Budgets) -> np.ndarray:
+    def homology_matrix(self, n: int) -> np.ndarray:
         """f_n tensored with Z, mod q; mod p it induces H_n(source) -> H_n(target)."""
-        self.extend_to(n, budgets)
+        self.extend_to(n)
         return _block_sums(self.levels[n], self.target.group.order, self.source.modulus)
 
 
@@ -276,11 +275,10 @@ def _chain_map(hom: GroupHom, modulus: int | None = None) -> _ChainMap:
     return _cached(_CHAIN_MAPS, key, lambda: _ChainMap(hom, source, target))
 
 
-def induced_map(hom: GroupHom, n: int, budgets: Budgets | None = None) -> np.ndarray:
+def induced_map(hom: GroupHom, n: int) -> np.ndarray:
     """The matrix of H_n(hom): rows index source classes, columns target ones.
 
     Functorial: the matrix of a composite is the product of the matrices in
     composition order, acting on row vectors.
     """
-    budgets = budgets or default_budgets()
-    return _chain_map(hom).homology_matrix(n, budgets)
+    return _chain_map(hom).homology_matrix(n)

@@ -16,7 +16,6 @@ from pgph import (
 from pgph import linalg, resolution
 from pgph.barcomplex import _cycles, bar_boundary
 from pgph.catalog import bundled_catalog, bundled_group, bundled_order
-from pgph.config import Budgets
 from pgph.errors import BudgetExceededError, ConsistencyError, DataError
 from pgph.groups import GroupHom, quotient_chain
 
@@ -297,10 +296,11 @@ def test_triple_center_quotient_of_d4():
     assert c == [2]
 
 
-def test_integral_budget_refusal():
+def test_integral_budget_refusal(monkeypatch):
     g = group_from_permutations(D4)
+    monkeypatch.setenv("PGPH_BUDGET", "fp=1000000000,int=100")
     with pytest.raises(BudgetExceededError):
-        integral_homology(g, 3, budgets=Budgets(fp_entries=10**9, int_entries=100))
+        integral_homology(g, 3)
 
 
 def _outcome(call):
@@ -315,21 +315,26 @@ def test_refusals_do_not_depend_on_the_cache(monkeypatch):
     d4 = group_from_permutations(D4)
     _, proj = quotient(d4, d4.center_elements())
     calls = [
-        lambda b: integral_homology(d4, 3, budgets=Budgets(int_entries=b)).invariants,
-        lambda b: integral_induced_triple(proj, 2, budgets=Budgets(int_entries=b)),
-        lambda b: homology_dims(d4, 3, budgets=Budgets(fp_entries=b)),
-        lambda b: induced_map(proj, 2, Budgets(fp_entries=b)).tolist(),
+        ("int", lambda: integral_homology(d4, 3).invariants),
+        ("int", lambda: integral_induced_triple(proj, 2)),
+        ("fp", lambda: homology_dims(d4, 3)),
+        ("fp", lambda: induced_map(proj, 2).tolist()),
     ]
+
+    def under(kind, budget, call):
+        monkeypatch.setenv("PGPH_BUDGET", f"{kind}={budget}")
+        return _outcome(call)
+
     refused = passed = 0
     for budget in (20, 60, 100, 150, 1000):
         cold = []
-        for call in calls:
+        for kind, call in calls:
             monkeypatch.setattr(resolution, "_RESOLUTIONS", {})
             monkeypatch.setattr(resolution, "_CHAIN_MAPS", {})
-            cold.append(_outcome(lambda: call(budget)))
-        for call in calls:
-            call(10**9)
-        assert [_outcome(lambda: call(budget)) for call in calls] == cold, budget
+            cold.append(under(kind, budget, call))
+        for kind, call in calls:
+            assert not isinstance(under(kind, 10**9, call), str)
+        assert [under(kind, budget, call) for kind, call in calls] == cold, budget
         refused += sum(isinstance(out, str) for out in cold)
         passed += sum(not isinstance(out, str) for out in cold)
     assert refused and passed

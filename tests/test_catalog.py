@@ -139,7 +139,9 @@ def test_load_group_file_valid(tmp_path):
 
 def write_bad_file(tmp_path, payload) -> str:
     path = tmp_path / "bad.json"
-    if isinstance(payload, str):
+    if isinstance(payload, bytes):
+        path.write_bytes(payload)
+    elif isinstance(payload, str):
         path.write_text(payload)
     else:
         path.write_text(json.dumps(payload))
@@ -164,6 +166,7 @@ def write_bad_file(tmp_path, payload) -> str:
     ({"name": "x", "degree": True, "generators": [[1]]}, "degree"),
     ({"name": "x", "degree": 2, "generators": [[2, True]]},
      "not a list of 2 integers"),
+    (b'{"name": "\xff"}', "not UTF-8"),
 ])
 def test_load_group_file_rejects(tmp_path, payload, fragment):
     path = write_bad_file(tmp_path, payload)
@@ -206,6 +209,17 @@ def test_load_catalog_rejects_name_mismatch(tmp_path):
 def test_load_catalog_rejects_bad_index(tmp_path):
     (tmp_path / "index.json").write_text(json.dumps({"entries": ["a"]}))
     with pytest.raises(DataError, match="groups"):
+        load_catalog(str(tmp_path))
+
+
+@pytest.mark.parametrize("make_index", [
+    lambda path: path.mkdir(),
+    lambda path: path.write_bytes(b'{"groups": ["\xe9"]}'),
+])
+def test_load_catalog_rejects_unreadable_index(tmp_path, make_index):
+    # a directory, or bytes that are not UTF-8
+    make_index(tmp_path / "index.json")
+    with pytest.raises(DataError, match="^index.json: (cannot read|not UTF-8)"):
         load_catalog(str(tmp_path))
 
 

@@ -42,6 +42,11 @@ def test_data_errors_exit_four(capsys, tmp_path):
                         "--series", "Z", "--max-degree", "2"])[0] == 4
     assert run(capsys, ["classify", "--catalog", str(tmp_path / "none"),
                         "--series", "Z", "--max-degree", "2"])[0] == 4
+    (tmp_path / "unreadable" / "index.json").mkdir(parents=True)
+    code, _, err = run(capsys, ["classify", "--catalog", str(tmp_path / "unreadable"),
+                                "--series", "Z", "--max-degree", "2"])
+    assert code == 4 and "index.json: cannot read" in err
+    assert "Traceback" not in err
     boolean = tmp_path / "y.json"
     boolean.write_text(json.dumps({"name": "y", "degree": 2, "generators": [[2, True]]}))
     code, _, err = run(capsys, ["homology", "--group", str(boolean), "--max-degree", "2"])
@@ -72,6 +77,14 @@ def test_budget_exhaustion_exits_three(capsys, monkeypatch, cold_caches):
                                 "--series", "L", "--degree", "3"])
     assert code == 3
     assert "budget" in err
+
+
+def test_classify_blames_a_bad_budget_on_no_group(capsys, monkeypatch):
+    monkeypatch.setenv("PGPH_BUDGET", "abc")
+    code, out, err = run(capsys, ["classify", "--catalog", "bundled8",
+                                  "--series", "L", "--max-degree", "2"])
+    assert code == 4 and out == ""
+    assert err == "data error: unparsable PGPH_BUDGET value: 'abc'\n"
 
 
 def test_classify_all_refused_exits_three(capsys, monkeypatch):

@@ -15,7 +15,6 @@ import pytest
 from pgph import coclass
 from pgph.coclass import (FAMILY_KINDS, family, tree_links, tree_persistence,
                           verify_tree_h2_bound)
-from pgph.config import default_budgets
 from pgph.errors import BudgetExceededError, DataError
 from pgph.groups import abelianization_invariants, series
 from pgph.persistence import fingerprint, persistence_matrix
@@ -197,14 +196,13 @@ def test_order64_members_have_distinct_lower_central_barcodes():
     assert prints[1].serialized != prints[2].serialized
 
 
-def test_tree_persistence_budget_refusal():
-    from pgph.config import Budgets
-    try:
-        with pytest.raises(BudgetExceededError):
-            tree_persistence("dihedral", 5, 3, 4, budgets=Budgets(fp_entries=10))
-    finally:
-        # budgets stick to cached resolutions; recompute with defaults
-        tree_persistence("dihedral", 5, 3, 4, budgets=default_budgets())
+def test_tree_persistence_budget_refusal(monkeypatch):
+    monkeypatch.setenv("PGPH_BUDGET", "fp=10")
+    with pytest.raises(BudgetExceededError):
+        tree_persistence("dihedral", 5, 3, 4)
+    # the budget is read by each call, so the default one answers
+    monkeypatch.delenv("PGPH_BUDGET")
+    assert tree_persistence("dihedral", 5, 3, 4)["levels"] == [3, 4]
 
 
 def test_tree_persistence_concurrent_calls_agree(cold_caches):

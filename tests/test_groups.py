@@ -17,6 +17,7 @@ from pgph import (
     series,
 )
 from pgph.catalog import _bundled_registry
+from pgph.config import DEFAULT_ORDER_CAP
 from pgph.errors import BudgetExceededError
 from oracles import ToyGroup, perm_compose
 
@@ -128,15 +129,21 @@ def test_prime_validation():
         _ = group_from_permutations([(1, 2, 3, 4, 5, 0)]).prime  # order 6
 
 
+def _cycle(n):
+    return [tuple(range(1, n)) + (0,)]
+
+
 def test_order_cap():
-    with pytest.raises(BudgetExceededError):
-        group_from_permutations([tuple(range(1, 17)) + (0,)], order_cap=16)
+    # S_6, of order 720, from a 6-cycle and a transposition
+    with pytest.raises(BudgetExceededError, match="permutation closure"):
+        group_from_permutations([(1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5)])
 
 
 def test_order_cap_boundary():
-    assert group_from_permutations(D8, order_cap=16).order == 16
-    with pytest.raises(BudgetExceededError):
-        group_from_permutations(D8, order_cap=15)
+    assert DEFAULT_ORDER_CAP == 512
+    assert group_from_permutations(_cycle(512)).order == 512
+    with pytest.raises(BudgetExceededError, match="needs 513, budget allows 512"):
+        group_from_permutations(_cycle(513))
 
 
 def oracle_table(perms):

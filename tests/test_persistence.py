@@ -13,7 +13,6 @@ import pytest
 
 from pgph import persistence, resolution
 from pgph.catalog import bundled_order
-from pgph.config import Budgets
 from pgph.errors import BudgetExceededError, DataError
 from pgph.groups import (SERIES_KINDS, abelian_invariants,
                          group_from_permutations, quotient_chain)
@@ -276,7 +275,7 @@ def test_classify_frattini_pair_order8():
     assert pair == [["C4xC2", "D4"]]
 
 
-def test_classify_partial_on_budget_failure(cold_caches):
+def test_classify_partial_on_budget_failure(monkeypatch, cold_caches):
     points = 16
     rot = tuple((i + 1) % points for i in range(points))
     ref = tuple((7 * i) % points for i in range(points))
@@ -286,22 +285,22 @@ def test_classify_partial_on_budget_failure(cold_caches):
         "small": group_from_permutations(C4),
         "big": semidihedral32,
     }
-    budgets = Budgets(fp_entries=1500, int_entries=10**6)
-    report = classify(catalog, "L", 1, budgets=budgets)
+    monkeypatch.setenv("PGPH_BUDGET", "fp=1500,int=1000000")
+    report = classify(catalog, "L", 1)
     assert report["partial"]
     assert report["classes"] == 1
     assert [f["group"] for f in report["failures"]] == ["big"]
 
 
-def test_classify_all_failed_raises_first_groups_own_error(cold_caches):
+def test_classify_all_failed_raises_first_groups_own_error(monkeypatch, cold_caches):
     s3 = group_from_permutations([(1, 0, 2), (1, 2, 0)])
     with pytest.raises(DataError, match="^s3: .*not a prime power"):
         classify({"s3": s3, "s3 again": s3}, "L", 1, workers=2)
     catalog = {"small": group_from_permutations(C4),
                "big": group_from_permutations(C8)}
+    monkeypatch.setenv("PGPH_BUDGET", "fp=1000000,int=5")
     with pytest.raises(BudgetExceededError, match="^small: resolution radical"):
-        classify(catalog, "Zp", 1, integral=True,
-                 budgets=Budgets(fp_entries=10**6, int_entries=5))
+        classify(catalog, "Zp", 1, integral=True)
 
 
 def test_classify_rejects_negative_workers(monkeypatch):
@@ -341,12 +340,12 @@ def test_classify_same_report_for_any_worker_count(monkeypatch):
     assert not any(report["partial"] for report in reports[1])
 
 
-def test_persistence_sequence_budget_refusal(cold_caches):
+def test_persistence_sequence_budget_refusal(monkeypatch, cold_caches):
     g = group_from_permutations(dihedral_rep(16))
     assert g.order == 32
-    budgets = Budgets(fp_entries=5000, int_entries=10**6)
+    monkeypatch.setenv("PGPH_BUDGET", "fp=5000,int=1000000")
     with pytest.raises(BudgetExceededError):
-        persistence_sequence(g, "L", 3, budgets=budgets)
+        persistence_sequence(g, "L", 3)
 
 
 def test_integral_persistence_matrix_values():

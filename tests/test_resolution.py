@@ -13,7 +13,6 @@ from pgph import (
     quotient,
     quotient_chain,
 )
-from pgph.config import Budgets
 from pgph.errors import BudgetExceededError
 from oracles import (
     act_on_rows,
@@ -84,8 +83,7 @@ def test_dihedral_and_quaternion_dims():
 def test_dims_match_bar_complex_oracle():
     for perms, p, n_max in ((D4, 2, 3), (Q8, 2, 3), (C4xC2, 2, 3), (C3xC3, 3, 3)):
         g = group_from_permutations(perms)
-        assert homology_dims(g, n_max, budgets=Budgets()) == \
-            bar_homology_dims(g.cayley, p, n_max)
+        assert homology_dims(g, n_max) == bar_homology_dims(g.cayley, p, n_max)
 
 
 @pytest.mark.slow
@@ -161,12 +159,13 @@ def test_functoriality_along_a_chain():
         assert np.array_equal(direct, step)
 
 
-def test_budget_refusal():
+def test_budget_refusal(monkeypatch):
     from pgph.resolution import MinimalResolution
     g = group_from_permutations(D4)
     res = MinimalResolution(g, 2)
+    monkeypatch.setenv("PGPH_BUDGET", "10")
     with pytest.raises(BudgetExceededError):
-        res.extend_to(3, Budgets(fp_entries=10, int_entries=10))
+        res.extend_to(3)
 
 
 def test_budget_of_a_later_call_leaves_an_extension_in_flight_alone(
@@ -177,17 +176,22 @@ def test_budget_of_a_later_call_leaves_an_extension_in_flight_alone(
     calls = []
 
     def kernel_basis_with_a_cache_hit(a, p, q):
-        # a second caller reaches the cached resolution with a tiny budget
-        # while the first caller is extending it
+        # the budget shrinks, and a second caller reaches the cached
+        # resolution under it, while the first caller is extending it
         if not calls:
-            minimal_resolution(g, 0, budgets=Budgets(fp_entries=10))
+            monkeypatch.setenv("PGPH_BUDGET", "fp=10")
+            minimal_resolution(g, 0)
         calls.append(1)
         return kernel_basis(a, p, q)
 
+    monkeypatch.delenv("PGPH_BUDGET", raising=False)
     monkeypatch.setattr(linalg, "_kernel_basis_mod", kernel_basis_with_a_cache_hit)
-    res = minimal_resolution(g, 3, budgets=Budgets())
+    res = minimal_resolution(g, 3)
     assert len(calls) == 3
     assert res.ranks == [1, 2, 4, 6]
+    # the next call reads the new budget
+    with pytest.raises(BudgetExceededError):
+        minimal_resolution(g, 3)
 
 
 @pytest.mark.parametrize("name, degree", [("8.3", 3), ("27.3", 2)])
@@ -203,13 +207,13 @@ def test_levels_are_stored_narrow_and_read_out_at_int64(cold_caches, name, degre
     hom = quotient_chain(g, "L").hom(1, 2)
     for q in (p, p ** (2 * _exponent(g, p))):
         cm = _chain_map(hom, q)
-        cm.extend_to(degree, Budgets())
+        cm.extend_to(degree)
         store = linalg._store_dtype(q)
         for res in (cm.source, cm.target):
             assert all(gens.dtype == store for gens in res.gen_images[1:]), q
             assert res.tensored(degree).dtype == np.int64
         assert all(level.dtype == store for level in cm.levels), q
-        assert cm.homology_matrix(degree, Budgets()).dtype == np.int64
+        assert cm.homology_matrix(degree).dtype == np.int64
     assert linalg._store_dtype(2 ** 8) == np.uint8
     assert linalg._store_dtype(3 ** 8) == np.uint16
     assert induced_map(hom, degree).dtype == np.int64
@@ -257,7 +261,6 @@ def test_coordinate_levels_match_full_width():
     # must equal lifts solved against its full differential
     from pgph import linalg
     from pgph.resolution import _chain_map
-    budgets = Budgets()
     for entry in bundled_catalog():
         if entry.order > 27:
             continue
@@ -273,7 +276,7 @@ def test_coordinate_levels_match_full_width():
             chain = quotient_chain(entry.group, kind)
             for i in range(1, len(chain.quotients)):
                 cm = _chain_map(chain.hom(i, i + 1))
-                cm.extend_to(4, budgets)
+                cm.extend_to(4)
                 for n in range(1, 5):
                     previous = free_module_matrix(cm.target.group.cayley,
                                                   cm.levels[n - 1], cm.hom.mapping)
