@@ -268,7 +268,8 @@ def load_catalog(path: str) -> list[CatalogEntry]:
     if not os.path.isdir(path):
         raise DataError(f"not a catalog directory: {path}")
     index_path = os.path.join(path, "index.json")
-    if not os.path.exists(index_path):
+    # a dangling symlink is an index that cannot be read, not a missing one
+    if not os.path.lexists(index_path):
         return []
     index = _read_json(index_path)
     names = index.get("groups") if isinstance(index, dict) else None

@@ -5,9 +5,9 @@ to materialize: mod-p work and the bar-complex oracle count against the F_p
 budget, the mod-p^E resolutions behind integral invariants against the
 integer one.  The environment variable ``PGPH_BUDGET`` overrides them:
 either a single integer applied to both budgets, or a comma-separated list
-of ``fp=N`` / ``int=N`` assignments.  It is the only source of budgets:
-each resolution or chain-map extension, and each bar boundary, reads it
-through `default_budgets` when it starts.
+of ``fp=N`` / ``int=N`` assignments, each key at most once.  It is the
+only source of budgets: each resolution or chain-map extension, and each
+bar boundary, reads it through `default_budgets` when it starts.
 """
 
 from __future__ import annotations
@@ -44,10 +44,15 @@ def default_budgets() -> Budgets:
     if not raw:
         return Budgets()
     fp, integral = DEFAULT_FP_ENTRIES, DEFAULT_INT_ENTRIES
+    seen = set()
     try:
         if "=" in raw:
             for part in raw.split(","):
                 key, _, value = part.strip().partition("=")
+                if key in seen:
+                    # a later assignment must not loosen an earlier cap
+                    raise DataError(f"PGPH_BUDGET sets {key!r} twice: {raw!r}")
+                seen.add(key)
                 if key == "fp":
                     fp = int(value)
                 elif key == "int":

@@ -9,11 +9,15 @@ Private variants eliminate modulo q = p^E up to 2^61 (a larger q is a
 BudgetExceededError) with unit pivots (nonzero mod p, inverted mod q), and
 raise ValueError where a column has no unit left.
 
-GF(2) is eliminated on bit-packed rows.  Other moduli go through column
-panels of `_PANEL` columns: one pivot at a time on the panel's columns,
-which picks the same rows and pivots J as a pass over the whole matrix,
-then one exact product (`_product`, on limbs of w bits) updates every
-other row.  Both ways give the same matrix and pivots, byte for byte.
+GF(2) pivots, kernels and solutions come from an echelon basis of rows
+held as Python ints, one bit per column (`_gf2_rows`): each reduction
+step is one XOR of a whole row, and the back-reduced basis is the unique
+RREF.  Every other elimination, and an echelon form mod 2 that stops at a
+pivot limit or leaves the rows above alone, goes through column panels of
+`_PANEL` columns: one pivot at a time on the panel's columns, which picks
+the same rows and pivots J as a pass over the whole matrix, then one
+exact product (`_product`, on limbs of w bits) updates every other row.
+Both ways give the same matrix and pivots, byte for byte.
 
 Matrices mod q are stored between eliminations at the narrowest unsigned
 dtype that holds 0 .. q-1, or int64 past 2^32 (`_store_dtype`), and worked
@@ -159,67 +163,72 @@ def _swap(arr: np.ndarray, i: int, j: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# GF(2) bit packing
+# GF(2) on Python-int rows
 
 
-def _pack_gf2(a: np.ndarray) -> np.ndarray:
-    """Pack rows mod 2 into uint64 words, 64 columns per word, little bit
-    order.  Row chunks of `_CHUNK` entries at a time, so no copy of the
-    whole of ``a`` is made: for a huge matrix that would dwarf the packed
-    words.  Parity of integers is a bitwise and, many times cheaper than a
-    remainder."""
+def _gf2_rows(a: np.ndarray) -> tuple[list[int], int]:
+    """Rows of ``a`` mod 2 as Python ints, and their width w = 8 ceil(n/8):
+    column j sits at bit w-1-j, so a row's leading column is w minus its
+    bit length.  Row chunks of `_CHUNK` entries at a time, so no copy of
+    the whole of ``a`` is made.  Parity of integers is a bitwise and, many
+    times cheaper than a remainder."""
     m, n = a.shape
-    words = np.zeros((m, -(-n // 64) * 8), dtype=np.uint8)
-    rows = max(1, _CHUNK // max(n, 1))
-    for lo in range(0, m, rows):
-        block = a[lo : lo + rows]
+    rows: list[int] = []
+    step = max(1, _CHUNK // max(n, 1))
+    for lo in range(0, m, step):
+        block = a[lo : lo + step]
         bits = block & 1 if block.dtype.kind in "biu" else block % 2
-        packed = np.packbits(bits.astype(np.uint8, copy=False), axis=1, bitorder="little")
-        words[lo : lo + rows, : packed.shape[1]] = packed
-    return words.view(np.uint64)
+        packed = np.packbits(bits.astype(np.uint8, copy=False), axis=1)
+        rows += [int.from_bytes(row, "big") for row in packed]
+    return rows, 8 * -(-n // 8)
 
 
-def _unpack_gf2(words: np.ndarray, n: int) -> np.ndarray:
-    """The 0/1 matrix of packed words, at uint8."""
-    m = words.shape[0]
-    if n == 0:
-        return np.zeros((m, 0), dtype=np.uint8)
-    as_bytes = np.ascontiguousarray(words).view(np.uint8)
-    return np.unpackbits(as_bytes, axis=1, count=n, bitorder="little")
+def _gf2_basis(rows: list[int], low: int = 0):
+    """An echelon basis of ``rows``, keyed by leading bit, and the indices
+    of the rows that grew it.  Each row XORs the basis row at its leading
+    bit until it has none there or its leading bit is at most ``low``; a
+    row left nonzero at or below ``low`` makes the system inconsistent
+    (ValueError)."""
+    basis: dict[int, int] = {}
+    grew = []
+    for i, x in enumerate(rows):
+        while (lead := x.bit_length()) > low:
+            row = basis.get(lead)
+            if row is None:
+                basis[lead] = x
+                grew.append(i)
+                break
+            x ^= row
+        else:
+            if x:
+                raise ValueError("inconsistent linear system")
+    return basis, grew
 
 
-def _row_reduce_gf2(words: np.ndarray, limit: int, reduce_above: bool):
-    m = words.shape[0]
-    pivots = []
-    r = c = 0
-    while c < limit and r < m:
-        word, bit = divmod(c, 64)
-        # the next column with a one in the rows left: skip the empty ones
-        live = int(np.bitwise_or.reduce(words[r:, word])) >> bit
-        if not live:
-            c = (word + 1) * 64
-            continue
-        bit += (live & -live).bit_length() - 1
-        c = word * 64 + bit
-        if c >= limit:
-            break
-        # one pass over the column finds the pivot and the rows to clear
-        hot = (words[:, word] & np.uint64(1 << bit)) != 0
-        hits = np.nonzero(hot[r:])[0]
-        pr = r + int(hits[0])
-        if pr != r:
-            _swap(words, r, pr)
-        # the row swapped down is zero in this column
-        rows = r + hits[1:]
-        if reduce_above:
-            rows = np.concatenate([np.nonzero(hot[:r])[0], rows])
-        if rows.size:
-            # the pivot row is zero in the words left of its pivot
-            words[rows, word:] ^= words[r, word:]
-        pivots.append(c)
-        r += 1
-        c += 1
-    return words, pivots
+def _rref_gf2(src: np.ndarray, limit: int | None = None):
+    """The RREF of ``src`` mod 2 at uint8 and its pivots, which lie in the
+    first ``limit`` columns (all of them by default); the rows past the
+    pivots are zero, and a row that is nonzero only past the limit makes
+    the system inconsistent (ValueError).  The basis is back-reduced from its last pivot up: each row
+    clears its other pivot bits with the reduced rows below it."""
+    m, n = src.shape
+    rows, w = _gf2_rows(src)
+    basis, _ = _gf2_basis(rows, w - (n if limit is None else limit))
+    leads = sorted(basis, reverse=True)
+    done = 0
+    for lead in reversed(leads):
+        x = basis[lead]
+        hits = x & done
+        while hits:
+            top = hits.bit_length()
+            x ^= basis[top]
+            hits ^= 1 << top - 1
+        basis[lead] = x
+        done |= 1 << lead - 1
+    packed = b"".join(basis[lead].to_bytes(w // 8, "big") for lead in leads)
+    packed += bytes((m - len(leads)) * (w // 8))
+    work = np.unpackbits(np.frombuffer(packed, dtype=np.uint8).reshape(m, w // 8), axis=1, count=n)
+    return work, [w - lead for lead in leads]
 
 
 def _pivot_loop(arr: np.ndarray, p: int, q: int, limit: int, reduce_above: bool):
@@ -308,11 +317,8 @@ def _row_reduce_dense(arr: np.ndarray, p: int, q: int, limit: int, reduce_above:
 
 def _echelon(src: np.ndarray, p: int, pivot_limit: int | None, reduce_above: bool,
              q: int):
-    """Eliminate a copy of ``src`` mod q into (work, pivots); mod 2, ``work``
-    is bit packed (see `_pack_gf2`)."""
+    """Eliminate a copy of ``src`` mod q into (work, pivots)."""
     limit = src.shape[1] if pivot_limit is None else pivot_limit
-    if q == 2:
-        return _row_reduce_gf2(_pack_gf2(src), limit, reduce_above)
     return _row_reduce_dense(_as_fp(src, q), p, q, limit, reduce_above)
 
 
@@ -335,11 +341,10 @@ def _reduce(a, p: int, q: int, pivot_limit: int | None = None, reduce_above: boo
     `_store_dtype(q)`; ValueError where a column without a unit leaves a
     row without a pivot nonzero mod q."""
     src = _matrix(a)
+    if q == 2 and reduce_above and pivot_limit in (None, src.shape[1]):
+        return _rref_gf2(src)
     work, pivots = _echelon(src, p, pivot_limit, reduce_above, q)
-    if q == 2:
-        work = _unpack_gf2(work, src.shape[1])
-    else:
-        work = work.astype(_store_dtype(q), copy=False)
+    work = work.astype(_store_dtype(q), copy=False)
     if q != p and work[len(pivots) :, :pivot_limit].any():
         raise ValueError(f"a column has no unit pivot mod {q}")
     return work, pivots
@@ -353,7 +358,10 @@ def _complement(indices, k: int) -> np.ndarray:
 
 
 def pivot_columns(a, p: int) -> list[int]:
-    """Columns of ``a`` outside the F_p span of the columns before them."""
+    """Columns of ``a`` outside the F_p span of the columns before them;
+    mod 2, the columns that grow an echelon basis of Python ints."""
+    if p == 2:
+        return _gf2_basis(_gf2_rows(_matrix(a).T)[0])[1]
     return _echelon(_matrix(a), p, None, False, p)[1]
 
 
@@ -417,9 +425,13 @@ def _solve_mod(a, b, p: int, q: int):
         raise ValueError(f"rhs width {rhs.shape[1]} does not match matrix cols {n}")
     k = rhs.shape[0]
     aug = np.hstack([arr.T, rhs.T])  # (n, m + k)
-    reduced, pivots = _reduce(aug, p, q, pivot_limit=m)
-    if np.any(reduced[len(pivots) :, m:]):
-        raise ValueError("inconsistent linear system")
+    if q == 2:
+        # raises the same ValueError on an inconsistent system
+        reduced, pivots = _rref_gf2(aug, m)
+    else:
+        reduced, pivots = _reduce(aug, p, q, pivot_limit=m)
+        if np.any(reduced[len(pivots) :, m:]):
+            raise ValueError("inconsistent linear system")
     x = np.zeros((k, m), dtype=reduced.dtype)
     x[:, pivots] = reduced[: len(pivots), m:].T
     return x[0] if single else x

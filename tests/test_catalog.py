@@ -215,9 +215,10 @@ def test_load_catalog_rejects_bad_index(tmp_path):
 @pytest.mark.parametrize("make_index", [
     lambda path: path.mkdir(),
     lambda path: path.write_bytes(b'{"groups": ["\xe9"]}'),
+    lambda path: path.symlink_to(path.parent / "missing.json"),
 ])
 def test_load_catalog_rejects_unreadable_index(tmp_path, make_index):
-    # a directory, or bytes that are not UTF-8
+    # a directory, bytes that are not UTF-8, or a dangling symlink
     make_index(tmp_path / "index.json")
     with pytest.raises(DataError, match="^index.json: (cannot read|not UTF-8)"):
         load_catalog(str(tmp_path))

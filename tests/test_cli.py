@@ -47,6 +47,11 @@ def test_data_errors_exit_four(capsys, tmp_path):
                                 "--series", "Z", "--max-degree", "2"])
     assert code == 4 and "index.json: cannot read" in err
     assert "Traceback" not in err
+    (tmp_path / "dangling").mkdir()
+    (tmp_path / "dangling" / "index.json").symlink_to(tmp_path / "missing.json")
+    code, _, err = run(capsys, ["classify", "--catalog", str(tmp_path / "dangling"),
+                                "--series", "Z", "--max-degree", "2"])
+    assert code == 4 and "index.json: cannot read" in err
     boolean = tmp_path / "y.json"
     boolean.write_text(json.dumps({"name": "y", "degree": 2, "generators": [[2, True]]}))
     code, _, err = run(capsys, ["homology", "--group", str(boolean), "--max-degree", "2"])

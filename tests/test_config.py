@@ -37,6 +37,9 @@ def test_budget_values(monkeypatch, raw, fp, integral):
     ("-3", "must be positive"),
     ("fp=0", "must be positive"),
     ("fp=10,int=-1", "must be positive"),
+    # a repeated key is refused, not resolved by the last assignment
+    ("fp=5,fp=1000000000", "sets 'fp' twice"),
+    ("int=6, fp=5, int=7", "sets 'int' twice"),
 ])
 def test_bad_budget_values_are_data_errors(monkeypatch, raw, fragment):
     monkeypatch.setenv("PGPH_BUDGET", raw)

@@ -13,6 +13,7 @@ from pgph import (
     quotient,
     quotient_chain,
 )
+from pgph.catalog import _direct_sum
 from pgph.errors import BudgetExceededError
 from oracles import (
     act_on_rows,
@@ -70,6 +71,19 @@ def test_wide_radicals_match_kunneth():
 def test_wide_radicals_match_kunneth_to_degree_four(orders):
     g = group_from_permutations(cyclic_product_rep(orders))
     assert homology_dims(g, 4) == kunneth_dims_abelian(orders, orders[0], 4)
+
+
+def test_order_64_products_match_kunneth():
+    # H_n(G x H; F_2) is the sum of H_i(G) (x) H_(n-i)(H): the dims convolve.
+    # The Pauli group times C2^2 runs GF(2) eliminations on a few thousand
+    # sparse rows by degree 4
+    gens = {e.id: [list(p) for p in e.generators] for e in bundled_catalog()}
+    for left, right in (("16.13", "4.2"), ("16.8", "4.1")):
+        product = group_from_permutations(_direct_sum(gens[left], gens[right]))
+        assert product.order == 64
+        a, b = (homology_dims(bundled_group(name), 4) for name in (left, right))
+        assert homology_dims(product, 4) == [sum(a[i] * b[n - i] for i in range(n + 1))
+                                             for n in range(5)]
 
 
 def test_dihedral_and_quaternion_dims():
