@@ -9,15 +9,18 @@ Private variants eliminate modulo q = p^E up to 2^61 (a larger q is a
 BudgetExceededError) with unit pivots (nonzero mod p, inverted mod q), and
 raise ValueError where a column has no unit left.
 
-GF(2) pivots, kernels and solutions come from an echelon basis of rows
-held as Python ints, one bit per column (`_gf2_rows`): each reduction
-step is one XOR of a whole row, and the back-reduced basis is the unique
-RREF.  Every other elimination, and an echelon form mod 2 that stops at a
-pivot limit or leaves the rows above alone, goes through column panels of
-`_PANEL` columns: one pivot at a time on the panel's columns, which picks
-the same rows and pivots J as a pass over the whole matrix, then one
-exact product (`_product`, on limbs of w bits) updates every other row.
-Both ways give the same matrix and pivots, byte for byte.
+Pivots, kernels and solutions mod 2 and mod 3 come from an echelon basis
+of rows held as Python ints (`_bit_rows`): mod 2 one bit per column, so a
+reduction step is one XOR of a whole row; mod 3 the bitsliced pair of
+masks of the entries 1 and 2 (Boothby and Bradshaw, arXiv:0901.1413), so
+a step is seven bitwise operations.  The back-reduced basis is the unique
+RREF.  Every other elimination (mod p >= 5, mod p^E for E > 1, and an
+echelon form mod 2 or 3 that stops at a pivot limit or leaves the rows
+above alone) goes through column panels of `_PANEL` columns: one pivot at
+a time on the panel's columns, which picks the same rows and pivots J as
+a pass over the whole matrix, then one exact product (`_product`, on
+limbs of w bits) updates every other row.  Both ways give the same matrix
+and pivots, byte for byte.
 
 Matrices mod q are stored between eliminations at the narrowest unsigned
 dtype that holds 0 .. q-1, or int64 past 2^32 (`_store_dtype`), and worked
@@ -163,24 +166,36 @@ def _swap(arr: np.ndarray, i: int, j: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# GF(2) on Python-int rows
+# GF(2) and GF(3) on Python-int rows
 
 
-def _gf2_rows(a: np.ndarray) -> tuple[list[int], int]:
-    """Rows of ``a`` mod 2 as Python ints, and their width w = 8 ceil(n/8):
-    column j sits at bit w-1-j, so a row's leading column is w minus its
-    bit length.  Row chunks of `_CHUNK` entries at a time, so no copy of
-    the whole of ``a`` is made.  Parity of integers is a bitwise and, many
-    times cheaper than a remainder."""
+def _bit_rows(a: np.ndarray, p: int) -> tuple[list, int]:
+    """Rows of ``a`` mod p, 2 or 3, as Python ints, and their width
+    w = 8 ceil(n/8): mod 2 one int per row, mod 3 the pair (ones, twos) of
+    masks of the entries 1 and 2.  Column j sits at bit w-1-j, so a row's
+    leading column is w minus its bit length.  Row chunks of `_CHUNK`
+    entries at a time, so no copy of the whole of ``a`` is made.  Parity of
+    integers is a bitwise and, many times cheaper than a remainder."""
     m, n = a.shape
-    rows: list[int] = []
+    rows: list = []
     step = max(1, _CHUNK // max(n, 1))
     for lo in range(0, m, step):
         block = a[lo : lo + step]
-        bits = block & 1 if block.dtype.kind in "biu" else block % 2
-        packed = np.packbits(bits.astype(np.uint8, copy=False), axis=1)
-        rows += [int.from_bytes(row, "big") for row in packed]
+        if p == 2:
+            masks = [block & 1 if block.dtype.kind in "biu" else block % 2]
+        else:
+            block = block % 3
+            masks = [block == 1, block == 2]
+        ints = [[int.from_bytes(row, "big") for row in packed] for packed in
+                (np.packbits(mask.astype(np.uint8, copy=False), axis=1) for mask in masks)]
+        rows += ints[0] if p == 2 else zip(*ints)
     return rows, 8 * -(-n // 8)
+
+
+def _unpack(rows: list[int], m: int, w: int, n: int) -> np.ndarray:
+    """The first n columns of ``rows``, ints of w bits, zero-padded to m rows, at uint8."""
+    packed = b"".join(x.to_bytes(w // 8, "big") for x in rows) + bytes((m - len(rows)) * (w // 8))
+    return np.unpackbits(np.frombuffer(packed, dtype=np.uint8).reshape(m, w // 8), axis=1, count=n)
 
 
 def _gf2_basis(rows: list[int], low: int = 0):
@@ -209,10 +224,11 @@ def _rref_gf2(src: np.ndarray, limit: int | None = None):
     """The RREF of ``src`` mod 2 at uint8 and its pivots, which lie in the
     first ``limit`` columns (all of them by default); the rows past the
     pivots are zero, and a row that is nonzero only past the limit makes
-    the system inconsistent (ValueError).  The basis is back-reduced from its last pivot up: each row
-    clears its other pivot bits with the reduced rows below it."""
+    the system inconsistent (ValueError).  The basis is back-reduced from
+    its last pivot up: each row clears its other pivot bits with the
+    reduced rows below it."""
     m, n = src.shape
-    rows, w = _gf2_rows(src)
+    rows, w = _bit_rows(src, 2)
     basis, _ = _gf2_basis(rows, w - (n if limit is None else limit))
     leads = sorted(basis, reverse=True)
     done = 0
@@ -225,10 +241,54 @@ def _rref_gf2(src: np.ndarray, limit: int | None = None):
             hits ^= 1 << top - 1
         basis[lead] = x
         done |= 1 << lead - 1
-    packed = b"".join(basis[lead].to_bytes(w // 8, "big") for lead in leads)
-    packed += bytes((m - len(leads)) * (w // 8))
-    work = np.unpackbits(np.frombuffer(packed, dtype=np.uint8).reshape(m, w // 8), axis=1, count=n)
-    return work, [w - lead for lead in leads]
+    return _unpack([basis[lead] for lead in leads], m, w, n), [w - lead for lead in leads]
+
+
+def _gf3_basis(rows: list[tuple[int, int]], low: int = 0):
+    """`_gf2_basis` mod 3, keyed by the leading bit of ones | twos.  A basis
+    row has entry 1 at its lead (negation swaps the masks), so a step adds
+    it to a row with 2 there, or subtracts it: x + y is t = (x1 | y2) ^
+    (x2 | y1), (x2 | y2) ^ t, (x1 | y1) ^ t (Kawahara, Aoki, Takagi 2008)."""
+    basis: dict[int, tuple[int, int]] = {}
+    grew = []
+    for i, (x1, x2) in enumerate(rows):
+        while (lead := (x1 | x2).bit_length()) > low:
+            row = basis.get(lead)
+            one = x1.bit_length() == lead
+            if row is None:
+                basis[lead] = (x1, x2) if one else (x2, x1)
+                grew.append(i)
+                break
+            y2, y1 = row if one else row[::-1]
+            t = (x1 | y2) ^ (x2 | y1)
+            x1, x2 = (x2 | y2) ^ t, (x1 | y1) ^ t
+        else:
+            if x1 | x2:
+                raise ValueError("inconsistent linear system")
+    return basis, grew
+
+
+def _rref_gf3(src: np.ndarray, limit: int | None = None):
+    """`_rref_gf2` mod 3: the RREF at uint8 is ones + 2 twos."""
+    m, n = src.shape
+    rows, w = _bit_rows(src, 3)
+    basis, _ = _gf3_basis(rows, w - (n if limit is None else limit))
+    leads = sorted(basis, reverse=True)
+    done = 0
+    for lead in reversed(leads):
+        x1, x2 = basis[lead]
+        # the reduced rows below leave the other pivot entries as read here
+        for hits, minus in ((x1 & done, True), (x2 & done, False)):
+            while hits:
+                top = hits.bit_length()
+                y2, y1 = basis[top] if minus else basis[top][::-1]
+                t = (x1 | y2) ^ (x2 | y1)
+                x1, x2 = (x2 | y2) ^ t, (x1 | y1) ^ t
+                hits ^= 1 << top - 1
+        basis[lead] = x1, x2
+        done |= 1 << lead - 1
+    ones, twos = (_unpack([basis[lead][k] for lead in leads], m, w, n) for k in (0, 1))
+    return ones + 2 * twos, [w - lead for lead in leads]
 
 
 def _pivot_loop(arr: np.ndarray, p: int, q: int, limit: int, reduce_above: bool):
@@ -341,8 +401,8 @@ def _reduce(a, p: int, q: int, pivot_limit: int | None = None, reduce_above: boo
     `_store_dtype(q)`; ValueError where a column without a unit leaves a
     row without a pivot nonzero mod q."""
     src = _matrix(a)
-    if q == 2 and reduce_above and pivot_limit in (None, src.shape[1]):
-        return _rref_gf2(src)
+    if q in (2, 3) and reduce_above and pivot_limit in (None, src.shape[1]):
+        return (_rref_gf2 if q == 2 else _rref_gf3)(src)
     work, pivots = _echelon(src, p, pivot_limit, reduce_above, q)
     work = work.astype(_store_dtype(q), copy=False)
     if q != p and work[len(pivots) :, :pivot_limit].any():
@@ -359,9 +419,9 @@ def _complement(indices, k: int) -> np.ndarray:
 
 def pivot_columns(a, p: int) -> list[int]:
     """Columns of ``a`` outside the F_p span of the columns before them;
-    mod 2, the columns that grow an echelon basis of Python ints."""
-    if p == 2:
-        return _gf2_basis(_gf2_rows(_matrix(a).T)[0])[1]
+    mod 2 and 3, the columns that grow an echelon basis of Python ints."""
+    if p in (2, 3):
+        return (_gf2_basis if p == 2 else _gf3_basis)(_bit_rows(_matrix(a).T, p)[0])[1]
     return _echelon(_matrix(a), p, None, False, p)[1]
 
 
@@ -425,9 +485,9 @@ def _solve_mod(a, b, p: int, q: int):
         raise ValueError(f"rhs width {rhs.shape[1]} does not match matrix cols {n}")
     k = rhs.shape[0]
     aug = np.hstack([arr.T, rhs.T])  # (n, m + k)
-    if q == 2:
+    if q in (2, 3):
         # raises the same ValueError on an inconsistent system
-        reduced, pivots = _rref_gf2(aug, m)
+        reduced, pivots = (_rref_gf2 if q == 2 else _rref_gf3)(aug, m)
     else:
         reduced, pivots = _reduce(aug, p, q, pivot_limit=m)
         if np.any(reduced[len(pivots) :, m:]):

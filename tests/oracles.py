@@ -520,28 +520,44 @@ def bar_boundary(table, n):
     return out
 
 
+def rank_gf2_ints(rows):
+    """Rank over F_2 of rows given as Python ints, one bit per column.
+
+    Each row XORs the basis row at its leading bit until it has none there
+    or is zero; only the basis is held, so ``rows`` may be a generator.
+    """
+    basis = {}
+    for x in rows:
+        while x:
+            lead = x.bit_length()
+            if lead not in basis:
+                basis[lead] = x
+                break
+            x ^= basis[lead]
+    return len(basis)
+
+
 def bar_boundary_rank_gf2(table, n):
     """Rank of d_n over F_2 without materializing the dense boundary.
 
-    Signs vanish mod 2, so each row is the symmetric difference of its
-    face terms; rows are packed into machine words before elimination.
+    Signs vanish mod 2, so each row is the XOR of the bits of its faces,
+    built as one Python int straight from the Cayley table and streamed
+    into `rank_gf2_ints`.
     """
-    table = np.asarray(table)
-    order = table.shape[0]
-    rows = bar_basis(order, n)
-    cols = bar_basis(order, n - 1)
-    col_index = {t: i for i, t in enumerate(cols)}
-    row_cols = []
-    for tup in rows:
-        hits = set()
-        hits ^= {col_index[tup[1:]]}
-        for i in range(n - 1):
-            merged = tup[:i] + (int(table[tup[i], tup[i + 1]]),) + tup[i + 2:]
-            if 0 not in merged:
-                hits ^= {col_index[merged]}
-        hits ^= {col_index[tup[:-1]]}
-        row_cols.append(hits)
-    return rank_gf2_packed(_pack_rows_gf2(row_cols, len(cols)), len(cols))
+    table = np.asarray(table).tolist()
+    order = len(table)
+    col_index = {t: i for i, t in enumerate(bar_basis(order, n - 1))}
+
+    def rows():
+        for tup in product(range(1, order), repeat=n):
+            x = (1 << col_index[tup[1:]]) ^ (1 << col_index[tup[:-1]])
+            for i in range(n - 1):
+                g = table[tup[i]][tup[i + 1]]
+                if g:
+                    x ^= 1 << col_index[tup[:i] + (g,) + tup[i + 2:]]
+            yield x
+
+    return rank_gf2_ints(rows())
 
 
 def bar_homology_dims(table, p, n_max):

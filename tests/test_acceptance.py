@@ -201,6 +201,8 @@ def test_criterion_07_oracle_equivalence():
                      "; ".join(failures[:4])
                      or f"{compared} groups, {time.time() - t0:.1f}s")
     assert not failures, failures
+    # every bundled group of order at most 16
+    assert compared == 30
 
 
 def test_criterion_08_coclass_tree_stabilization():

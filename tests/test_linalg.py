@@ -201,12 +201,15 @@ def test_packed_solve_round_trip():
     assert not got[:, free].any()
 
 
-def _dense_rref(src, limit=None):
-    """`linalg._rref_gf2` through the dense eliminator at q = 2."""
-    work, pivots = linalg._echelon(src, 2, limit, True, 2)
-    if work[len(pivots) :].any():
-        raise ValueError("inconsistent linear system")
-    return work.astype(np.uint8), pivots
+def _dense_rref(p):
+    """`linalg._rref_gf2` (p = 2) or `_rref_gf3` (p = 3) through the dense
+    eliminator."""
+    def rref(src, limit=None):
+        work, pivots = linalg._echelon(src, p, limit, True, p)
+        if work[len(pivots) :].any():
+            raise ValueError("inconsistent linear system")
+        return work.astype(np.uint8), pivots
+    return rref
 
 
 def _result(call):
@@ -217,52 +220,56 @@ def _result(call):
         return str(err)
 
 
-@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 200])
-def test_gf2_int_rows_match_the_dense_eliminator(monkeypatch, n):
-    # m = 0 gives 0 x n and n = 0 gives m x 0; a solve's pivot limit is m,
-    # which ends mid-byte for m = 1, 5 and 13
-    rng = np.random.default_rng([2, n])
+@pytest.mark.parametrize("p, n", [pytest.param(p, n, id=f"{n}" if p == 2 else f"{n}-gf3")
+                                  for p in (2, 3) for n in (0, 1, 7, 8, 9, 63, 64, 65, 200)])
+def test_gf2_int_rows_match_the_dense_eliminator(monkeypatch, p, n):
+    # mod 2 one int a row, mod 3 a pair of masks.  m = 0 gives 0 x n and
+    # n = 0 gives m x 0; a solve's pivot limit is m, which ends mid-byte for
+    # m = 1, 5 and 13
+    rng = np.random.default_rng([p, n])
     inconsistent = 0
     for m in (0, 1, 5, 13, 40):
         for density in (0.05, 0.5):
-            bits = (rng.random((m, n)) < density).astype(np.int64)
-            want_rref, want_pivots = rref_mod_p(bits.tolist(), 2)
-            x = rng.integers(0, 2, size=(3, m))
-            rhs = [x @ bits % 2, rng.integers(0, 2, size=(3, n))]
-            # every form reduces to ``bits`` mod 2 on the way in
-            inputs = [bits, bits + 2 * rng.integers(-3, 3, size=(m, n)),
-                      bits.astype(bool), bits.astype(np.uint8),
-                      bits.astype(object) + (1 << 65)]
+            entries = rng.integers(1, p, size=(m, n)) * (rng.random((m, n)) < density)
+            # every form is reduced mod p on the way in; mod 3 a bool
+            # matrix is the pattern of nonzeros
+            inputs = [entries, entries + p * rng.integers(-3, 3, size=(m, n)),
+                      entries.astype(bool), entries.astype(np.uint8),
+                      entries.astype(object) + p * (1 << 65)]
             for a in inputs:
-                pivots = linalg.pivot_columns(a, 2)
-                assert pivots == linalg._echelon(a, 2, None, False, 2)[1] == want_pivots
-                assert linalg.rank(a, 2) == len(want_pivots)
-                work, got_pivots = linalg._reduce(a, 2, 2)
-                dense, dense_pivots = linalg._echelon(a, 2, None, True, 2)
+                vals = (a % p).astype(np.int64)
+                want_rref, want_pivots = rref_mod_p(vals.tolist(), p)
+                x = rng.integers(0, p, size=(3, m))
+                rhs = [x @ vals % p, rng.integers(0, p, size=(3, n))]
+                pivots = linalg.pivot_columns(a, p)
+                assert pivots == linalg._echelon(a, p, None, False, p)[1] == want_pivots
+                assert linalg.rank(a, p) == len(want_pivots)
+                work, got_pivots = linalg._reduce(a, p, p)
+                dense, dense_pivots = linalg._echelon(a, p, None, True, p)
                 assert work.dtype == np.uint8 and got_pivots == dense_pivots == want_pivots
                 assert np.array_equal(work, dense) and work.tolist() == want_rref
-                got = {"kernel": linalg._kernel_basis_mod(a, 2, 2)}
-                got.update((f"solve{i}", _result(lambda: linalg._solve_mod(a, b, 2, 2)))
+                got = {"kernel": linalg._kernel_basis_mod(a, p, p)}
+                got.update((f"solve{i}", _result(lambda: linalg._solve_mod(a, b, p, p)))
                            for i, b in enumerate(rhs))
                 with monkeypatch.context() as patch:
-                    patch.setattr(linalg, "_rref_gf2", _dense_rref)
-                    want = {"kernel": linalg._kernel_basis_mod(a, 2, 2)}
-                    want.update((f"solve{i}", _result(lambda: linalg._solve_mod(a, b, 2, 2)))
+                    patch.setattr(linalg, f"_rref_gf{p}", _dense_rref(p))
+                    want = {"kernel": linalg._kernel_basis_mod(a, p, p)}
+                    want.update((f"solve{i}", _result(lambda: linalg._solve_mod(a, b, p, p)))
                                 for i, b in enumerate(rhs))
                 for name in want:
                     assert type(got[name]) is type(want[name]), (m, name)
                     assert np.array_equal(got[name], want[name]), (m, name)
                     assert isinstance(got[name], str) or got[name].dtype == np.uint8
                 kernel = got["kernel"]
-                assert np.array_equal(linalg.kernel_basis(a, 2), kernel)
-                assert linalg.kernel_basis(a, 2).dtype == np.int64
+                assert np.array_equal(linalg.kernel_basis(a, p), kernel)
+                assert linalg.kernel_basis(a, p).dtype == np.int64
                 assert len(kernel) == m - len(want_pivots)
-                assert not (kernel.astype(np.int64) @ bits % 2).any()
-                assert rref_mod_p(kernel.tolist(), 2)[0] == kernel.tolist()
+                assert not (kernel.astype(np.int64) @ vals % p).any()
+                assert rref_mod_p(kernel.tolist(), p)[0] == kernel.tolist()
                 # the oracle's solution: free coordinates zero, the rest
                 # read off the RREF of [a^T | b^T]
                 for i, b in enumerate(rhs):
-                    aug, aug_pivots = rref_mod_p(np.hstack([bits.T, b.T]).tolist(), 2, m)
+                    aug, aug_pivots = rref_mod_p(np.hstack([vals.T, b.T]).tolist(), p, m)
                     aug = np.array(aug, dtype=np.int64).reshape(n, m + 3)
                     if aug[len(aug_pivots) :, m:].any():
                         assert got[f"solve{i}"] == "inconsistent linear system"
@@ -271,7 +278,7 @@ def test_gf2_int_rows_match_the_dense_eliminator(monkeypatch, n):
                     solved = np.zeros((3, m), dtype=np.int64)
                     solved[:, aug_pivots] = aug[: len(aug_pivots), m:].T
                     assert np.array_equal(got[f"solve{i}"], solved)
-                    public = linalg.solve(a, b, 2)
+                    public = linalg.solve(a, b, p)
                     assert public.dtype == np.int64 and np.array_equal(public, solved)
                 assert not isinstance(got["solve0"], str)
     # every right-hand side is consistent when the columns are independent
@@ -366,6 +373,7 @@ def test_panels_match_the_pivot_loop(monkeypatch, panel, sizes):
 
 @pytest.mark.parametrize("p, width, m, n, limit", [
     (2, None, 60, 200, 150),  # 25 bytes a GF(2) row; the limit ends mid-byte
+    (3, np.int16, 60, 200, 150),  # a GF(3) row is two masks of 25 bytes, as above
     (181, np.int16, 40, 50, 37),  # the last int16 prime
     (191, np.int32, 40, 50, 37),  # the first int32 prime
     (46337, np.int32, 40, 50, 37),  # the last int32 prime
@@ -375,13 +383,13 @@ def test_row_reduce_matches_the_rref_oracle(monkeypatch, p, width, m, n, limit):
     # the oracle follows the same rule, first usable row wins, so its RREF
     # is the eliminator's entry for entry at every storage width, through
     # the pivot loop alone and through panels of 8 with row chunks of a
-    # few rows (GF(2) rows become ints a few at a time then)
+    # few rows (GF(2) and GF(3) rows become ints a few at a time then)
     if width is not None:
         assert linalg._fp_dtype(p) is width
     rng = np.random.default_rng([p, m, n])
     a = _rank_deficient(rng, p, m, n, r=3 * m // 4)
     a[:, rng.random(n) < 0.7] = 0  # spreads the pivots past the limit
-    if p == 2:
+    if p < 5:
         # eight bytes of columns with no pivot, then one at the next byte's
         # first bit
         a[:, 64:128] = 0

@@ -39,14 +39,27 @@ def test_rank_edge_shapes():
     assert oracles.fp_rank_echelon(wide.T, 2) == 1
 
 
-def test_packed_bar_rank_matches_dense():
-    from pgph.groups import group_from_permutations
+def test_int_row_rank_matches_the_packed_words():
+    # rank_gf2_packed is the reference for the leading-bit basis of ints
+    rng = np.random.default_rng(13)
+    for rows, cols in ((0, 5), (4, 0), (1, 1), (9, 64), (30, 65), (70, 40), (50, 200)):
+        for density in (0.05, 0.5):
+            m = (rng.random((rows, cols)) < density).astype(np.int64)
+            ints = [sum(int(v) << j for j, v in enumerate(row)) for row in m]
+            packed = oracles._pack_rows_gf2([np.nonzero(row)[0] for row in m], cols)
+            assert (oracles.rank_gf2_ints(iter(ints))
+                    == oracles.rank_gf2_packed(packed, cols)
+                    == oracles.fp_rank_simple(m, 2))
 
-    d4 = group_from_permutations([(1, 2, 3, 0), (0, 3, 2, 1)])
-    q8 = group_from_permutations([(1, 2, 3, 0, 7, 4, 5, 6),
-                                  (4, 5, 6, 7, 2, 3, 0, 1)])
-    for g in (d4, q8):
-        for n in (1, 2, 3):
-            dense = oracles.bar_boundary(g.cayley, n)
-            assert (oracles.bar_boundary_rank_gf2(g.cayley, n)
-                    == oracles.fp_rank_simple(dense, 2))
+
+def test_packed_bar_rank_matches_dense():
+    # every group of order 4 and 8; d_5 of order 8 would be 16807 x 2401
+    # dense entries, so order 8 stops at d_4
+    from pgph import bundled_order
+
+    for order, n_max in ((4, 5), (8, 4)):
+        for entry in bundled_order(order):
+            for n in range(1, n_max + 1):
+                dense = oracles.bar_boundary(entry.group.cayley, n)
+                assert (oracles.bar_boundary_rank_gf2(entry.group.cayley, n)
+                        == oracles.fp_rank_gf2(dense)), (entry.id, n)

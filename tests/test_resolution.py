@@ -86,6 +86,20 @@ def test_order_64_products_match_kunneth():
                                              for n in range(5)]
 
 
+def test_order_81_matches_kunneth():
+    # the top of the paper's range: GF(3) eliminations on radicals of a
+    # few thousand rows by degree 5
+    g = group_from_permutations(cyclic_product_rep([3] * 4))
+    assert homology_dims(g, 5) == kunneth_dims_abelian([3] * 4, 3, 5)
+    # 27.3 x C3: the dims of a direct product convolve
+    gens = {e.id: [list(p) for p in e.generators] for e in bundled_catalog()}
+    product = group_from_permutations(_direct_sum(gens["27.3"], C3))
+    assert product.order == 81
+    a, b = homology_dims(bundled_group("27.3"), 6), homology_dims(group_from_permutations(C3), 6)
+    dims = [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(7)]
+    assert homology_dims(product, 6) == dims == [1, 3, 7, 13, 20, 28, 37]
+
+
 def test_dihedral_and_quaternion_dims():
     d4 = group_from_permutations(D4)
     assert homology_dims(d4, 5) == [1, 2, 3, 4, 5, 6]
