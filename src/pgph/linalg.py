@@ -13,14 +13,15 @@ Pivots, kernels and solutions mod 2 and mod 3 come from an echelon basis
 of rows held as Python ints (`_bit_rows`): mod 2 one bit per column, so a
 reduction step is one XOR of a whole row; mod 3 the bitsliced pair of
 masks of the entries 1 and 2 (Boothby and Bradshaw, arXiv:0901.1413), so
-a step is seven bitwise operations.  The back-reduced basis is the unique
-RREF.  Every other elimination (mod p >= 5, mod p^E for E > 1, and an
-echelon form mod 2 or 3 that stops at a pivot limit or leaves the rows
-above alone) goes through column panels of `_PANEL` columns: one pivot at
-a time on the panel's columns, which picks the same rows and pivots J as
-a pass over the whole matrix, then one exact product (`_product`, on
-limbs of w bits) updates every other row.  Both ways give the same matrix
-and pivots, byte for byte.
+a step is seven bitwise operations.  A resolution's radical is packed into
+such rows straight from its kernel, never dense (`_radical_pivots`).  The
+back-reduced basis is the unique RREF.  Every other elimination
+(mod p >= 5, mod p^E for E > 1, and an echelon form mod 2 or 3 that stops
+at a pivot limit or leaves the rows above alone) goes through column
+panels of `_PANEL` columns: one pivot at a time on the panel's columns,
+which picks the same rows and pivots J as a pass over the whole matrix,
+then one exact product (`_product`, on limbs of w bits) updates every
+other row.  Both ways give the same matrix and pivots, byte for byte.
 
 Matrices mod q are stored between eliminations at the narrowest unsigned
 dtype that holds 0 .. q-1, or int64 past 2^32 (`_store_dtype`), and worked
@@ -186,10 +187,15 @@ def _bit_rows(a: np.ndarray, p: int) -> tuple[list, int]:
         else:
             block = block % 3
             masks = [block == 1, block == 2]
-        ints = [[int.from_bytes(row, "big") for row in packed] for packed in
-                (np.packbits(mask.astype(np.uint8, copy=False), axis=1) for mask in masks)]
+        ints = [_row_ints(np.packbits(m.astype(np.uint8, copy=False), axis=1)) for m in masks]
         rows += ints[0] if p == 2 else zip(*ints)
     return rows, 8 * -(-n // 8)
+
+
+def _row_ints(packed: np.ndarray) -> list[int]:
+    """The rows of a C-ordered uint8 matrix as big-endian ints, sliced from one `tobytes`."""
+    w, buf = packed.shape[1], packed.tobytes()
+    return [int.from_bytes(buf[i * w : i * w + w], "big") for i in range(len(packed))]
 
 
 def _unpack(rows: list[int], m: int, w: int, n: int) -> np.ndarray:
@@ -423,6 +429,32 @@ def pivot_columns(a, p: int) -> list[int]:
     if p in (2, 3):
         return (_gf2_basis if p == 2 else _gf3_basis)(_bit_rows(_matrix(a).T, p)[0])[1]
     return _echelon(_matrix(a), p, None, False, p)[1]
+
+
+def _radical_pivots(residues: np.ndarray, cols: np.ndarray, p: int) -> list[int]:
+    """`pivot_columns(radical[:, ::-1], p)`, block j of the radical being
+    residues[:, cols[j]] - I mod p.  Gathered row c is reversed column c:
+    block after block, column cols[j][k-1-c] of ``residues`` less 1 at
+    entry k-1-c.  Mod 2 and 3 the columns are turned upside down and packed
+    into bytes, which only permutes and pads coordinates: never dense."""
+    k, d = len(residues), len(cols)
+    c, gather = np.arange(k)[:, None], cols[:, ::-1].T
+    if p not in (2, 3):
+        radical, at = residues.T[gather], (c, np.arange(d), k - 1 - c)
+        # minus 1 mod p without leaving the unsigned dtype
+        radical[at] = np.where(radical[at], radical[at] - 1, p - 1)
+        return pivot_columns(radical.reshape(k, d * k).T, p)
+    at, bit = (c, np.arange(d), c // 8), (0x80 >> c % 8).astype(np.uint8)
+    masks = [np.packbits(residues[::-1] & b, axis=0).T[gather] for b in (1, 2)[: p - 1]]
+    if p == 2:
+        masks[0][at] ^= bit
+    else:
+        # x - 1 mod 3: ones where x was 2, twos where x was 0
+        one, two = (mask[at] for mask in masks)
+        masks[0][at] = one & ~bit | two & bit
+        masks[1][at] = two & ~bit | ~(one | two) & bit
+    ints = [_row_ints(mask.reshape(k, d * mask.shape[2])) for mask in masks]
+    return (_gf2_basis(ints[0]) if p == 2 else _gf3_basis(zip(*ints)))[1]
 
 
 def rank(a, p: int) -> int:

@@ -17,15 +17,16 @@ In K_n-coordinates its rows are the identity and each radical block
 generators g.  The new generators are the rows of K_n outside the span
 of the radical I K_n and of the rows before them: the coordinates at
 which no vector of the radical ends, read off one echelon pass over the
-radical with its columns reversed (`linalg.pivot_columns`).  Chain maps
-are lifted the same way, against the target's D_n (`linalg._solve_mod`).
+radical with its columns reversed (`linalg._radical_pivots`), packed
+straight from K_n at p = 2 and 3, never dense.  Chain maps are lifted
+the same way, against the target's D_n (`linalg._solve_mod`).
 Each level checks K_n D_n = 0 exactly, that D_n has full column rank
 (exactness), and that K_n has zero block sums (minimality of the level
 before); a failure is a ConsistencyError.  Each extension reads its
 budgets from PGPH_BUDGET once, at its start, and checks them against
-every level it needs, cached or not: whether a call is refused does not
-depend on the cache, and a later change to the variable leaves an
-extension already in flight alone.
+every level it needs, cached or not, unless they passed to that degree
+already: a refusal does not depend on the cache, and a later change to
+the variable leaves an extension already in flight alone.
 
 The same engine resolves Z/q over (Z/q)[G], q = p^E: a minimal Z_p[G]-
 resolution reduced mod q, with the ranks b_n.  Kernels and lifts are
@@ -101,6 +102,7 @@ class MinimalResolution:
         self.ranks = [1]
         self.gen_images: list[np.ndarray | None] = [None]
         self.lead: list[np.ndarray] = []
+        self._checked: tuple = (None, -1)  # budgets, degree of the last passing check
         self._lock = threading.RLock()
 
     def _charge(self, budgets: Budgets, stage: str, entries: int) -> None:
@@ -131,11 +133,9 @@ class MinimalResolution:
         p, q = self.prime, self.modulus
         diff = self.coordinate_differential(n)
         kernel = linalg._kernel_basis_mod(diff, p, q)
-        gens = self.group.minimal_generators()
         k = len(kernel)
-        radical = np.empty((len(gens) * k, k), dtype=linalg._store_dtype(p))
-        # mod p the kernel already has the radical's dtype: a view, not a copy
-        residues = (kernel % p if q != p else kernel).astype(radical.dtype, copy=False)
+        # mod p the kernel already has this dtype: a view, not a copy
+        residues = (kernel % p if q != p else kernel).astype(linalg._store_dtype(p), copy=False)
         if linalg._product(kernel, diff, q).any():
             raise ConsistencyError(f"a kernel row of d_{n} is not in its kernel")
         if k + diff.shape[1] != diff.shape[0]:
@@ -143,19 +143,10 @@ class MinimalResolution:
         if _block_sums(residues, self.group.order, p).any():
             raise ConsistencyError(f"the resolution is not minimal at level {n}")
         lead = (residues != 0).argmax(axis=1) if k else np.zeros(0, dtype=np.intp)
-        # In K-coordinates x -> x[lead] the kernel rows are the identity
-        # and each radical block (g - 1) K is K[:, g . lead] - I.  Row i
-        # lies in the span of the radical and of the rows before it
-        # exactly when some radical vector ends at coordinate i, and
-        # those ends are the pivots of the radical with columns reversed.
-        diagonal = np.arange(k)
-        for j, cols in enumerate(_acting_columns(self.group, lead, gens)):
-            block = radical[j * k : (j + 1) * k]
-            np.take(residues, cols, axis=1, out=block, mode="clip")
-            # minus 1 mod p without leaving the unsigned dtype
-            ones = block[diagonal, diagonal]
-            block[diagonal, diagonal] = np.where(ones, ones - 1, p - 1)
-        ends = k - 1 - np.array(linalg.pivot_columns(radical[:, ::-1], p), dtype=np.intp)
+        # radical block (g - 1) K is K[:, g . lead] - I in K-coordinates;
+        # row i is picked unless some radical vector ends at coordinate i
+        cols = _acting_columns(self.group, lead, self.group.minimal_generators())
+        ends = k - 1 - np.array(linalg._radical_pivots(residues, cols, p), dtype=np.intp)
         picks = linalg._complement(ends, k)
         # gen_images and lead first: unlocked readers treat len(ranks)
         # as the high-water mark of completed levels
@@ -165,6 +156,8 @@ class MinimalResolution:
 
     def extend_to(self, degree: int) -> None:
         budgets = default_budgets()
+        if self._checked[0] == budgets and degree <= self._checked[1]:
+            return
         n_gens = len(self.group.minimal_generators())
         for n in range(degree):
             # level n + 1 needs D_n and the radical of K_n, d k_n x k_n with
@@ -178,6 +171,7 @@ class MinimalResolution:
                 with self._lock:
                     if len(self.ranks) <= n + 1:
                         self._build(n)
+        self._checked = (budgets, degree)
 
     def tensored(self, n: int) -> np.ndarray:
         """d_n tensored with Z, mod q: b_n x b_(n-1)."""
@@ -229,6 +223,7 @@ class _ChainMap:
         start = np.zeros((1, target.group.order), dtype=linalg._store_dtype(target.modulus))
         start[0, 0] = 1                             # e_1 -> e_1
         self.levels = [start]
+        self._checked: tuple = (None, -1)
         self._lock = threading.RLock()
 
     def _lift(self, n: int) -> np.ndarray:
@@ -245,6 +240,8 @@ class _ChainMap:
 
     def extend_to(self, degree: int) -> None:
         budgets = default_budgets()
+        if self._checked[0] == budgets and degree <= self._checked[1]:
+            return
         source, target = self.source, self.target
         source.extend_to(degree)
         target.extend_to(degree)
@@ -258,6 +255,7 @@ class _ChainMap:
                 with self._lock:
                     if len(self.levels) <= n:
                         self.levels.append(self._lift(n))
+        self._checked = (budgets, degree)
 
     def homology_matrix(self, n: int) -> np.ndarray:
         """f_n tensored with Z, mod q; mod p it induces H_n(source) -> H_n(target)."""

@@ -113,16 +113,17 @@ def _corrupt_last_kernel_row(kernel_basis):
     return wrapped
 
 
-def _drop_last_pivot(pivot_columns):
+def _drop_last_pivot(radical_pivots):
     # one radical vector too few: a redundant generator is picked
-    return lambda a, p: pivot_columns(a, p)[:-1]
+    return lambda residues, cols, p: radical_pivots(residues, cols, p)[:-1]
 
 
-def _add_a_pivot(pivot_columns):
+def _add_a_pivot(radical_pivots):
     # one radical vector too many: a needed generator is left out
-    def wrapped(a, p):
-        pivots = pivot_columns(a, p)
-        spare = sorted(set(range(a.shape[1])) - set(pivots))
+    def wrapped(residues, cols, p):
+        pivots = radical_pivots(residues, cols, p)
+        # the radical has one column per kernel row
+        spare = sorted(set(range(len(residues))) - set(pivots))
         return sorted(pivots + spare[:1])
     return wrapped
 
@@ -131,8 +132,8 @@ def test_consistency_error_exits_five(capsys, monkeypatch, cold_caches):
     # each fault trips its own check of the resolution
     for name, fault, message in (
             ("_kernel_basis_mod", _corrupt_last_kernel_row, "is not in its kernel"),
-            ("pivot_columns", _drop_last_pivot, "is not minimal"),
-            ("pivot_columns", _add_a_pivot, "is not onto")):
+            ("_radical_pivots", _drop_last_pivot, "is not minimal"),
+            ("_radical_pivots", _add_a_pivot, "is not onto")):
         with monkeypatch.context() as patch:
             patch.setattr(resolution, "_RESOLUTIONS", {})
             patch.setattr(resolution, "_CHAIN_MAPS", {})
@@ -140,7 +141,8 @@ def test_consistency_error_exits_five(capsys, monkeypatch, cold_caches):
                           fault(getattr(resolution.linalg, name)))
             for argv in (["homology", "--group", "catalog:8.3", "--max-degree", "2"],
                          ["classify", "--catalog", "bundled8", "--series", "L",
-                          "--max-degree", "2"]):
+                          "--max-degree", "2"],
+                         ["homology", "--group", "catalog:27.3", "--max-degree", "2"]):
                 code, out, err = run(capsys, argv)
                 assert code == 5 and out == ""
                 assert err.startswith("internal consistency error:")

@@ -285,6 +285,53 @@ def test_gf2_int_rows_match_the_dense_eliminator(monkeypatch, p, n):
     assert inconsistent or n <= 1
 
 
+def _radical_cases():
+    """(residues, cols, p): hand shapes, seeded random inputs, and the
+    levels of resolutions mod p and mod p^E."""
+    from pgph import bundled_group, resolution
+    rng = np.random.default_rng(41)
+    for p in (2, 3):
+        yield np.zeros((0, 0), dtype=np.uint8), np.zeros((1, 0), dtype=np.intp), p
+        yield np.zeros((0, 4), dtype=np.uint8), np.zeros((2, 0), dtype=np.intp), p
+        yield rng.integers(0, p, (5, 9), dtype=np.uint8), np.zeros((0, 5), dtype=np.intp), p
+        # k on both sides of a byte boundary, one to three generators
+        for k in (1, 5, 7, 8, 9, 13, 16, 17, 31, 40):
+            for d in (1, 2, 3):
+                for density in (0.1, 0.6):
+                    width = k + int(rng.integers(0, 12))
+                    residues = (rng.integers(1, p, (k, width)) * (rng.random((k, width))
+                                                                  < density)).astype(np.uint8)
+                    yield residues, rng.integers(0, width, (d, k)), p
+    yield rng.integers(0, 5, (12, 20), dtype=np.uint8), rng.integers(0, 20, (2, 12)), 5
+    # the real inputs of a level, from each resolution's own kernels
+    for name, q in (("8.3", 2), ("8.3", 8), ("9.2", 3), ("9.2", 9), ("27.3", 3),
+                    ("27.3", 27), ("5.1", 5)):
+        group = bundled_group(name)
+        p = group.prime
+        res = resolution.MinimalResolution(group, p, q)
+        res.extend_to(3)
+        for n in range(3):
+            kernel = linalg._kernel_basis_mod(res.coordinate_differential(n), p, q)
+            cols = resolution._acting_columns(group, res.lead[n], group.minimal_generators())
+            yield (kernel % p).astype(np.uint8), cols, p
+
+
+def test_radical_pivots_match_the_dense_radical():
+    # block j of the radical is residues[:, cols[j]] - I mod p; its pivots
+    # with columns reversed, whether it is built densely or packed
+    cases = 0
+    for residues, cols, p in _radical_cases():
+        k = len(residues)
+        radical = np.vstack([np.zeros((0, k), dtype=np.int64)] + [
+            (residues[:, c].astype(np.int64) - np.eye(k, dtype=np.int64)) % p for c in cols])
+        want = linalg.pivot_columns(radical[:, ::-1], p)
+        assert linalg._radical_pivots(residues, cols, p) == want, (p, residues.shape, len(cols))
+        if radical.size and k <= 16:
+            assert want == rref_mod_p(radical[:, ::-1].tolist(), p)[1]
+        cases += 1
+    assert cases > 100
+
+
 def _rank_deficient(rng, q, m, n, r=None):
     """X @ Y mod q of rank r < min(m, n) mod p (random by default), with
     some columns replaced by multiples of earlier ones so that pivots spread

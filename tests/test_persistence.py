@@ -6,13 +6,15 @@ minimal-resolution code.  The order-64 dihedral degree-2 matrix and its
 bar code are pinned to their published values.
 """
 
+import hashlib
+import json
 import threading
 
 import numpy as np
 import pytest
 
 from pgph import persistence, resolution
-from pgph.catalog import bundled_order
+from pgph.catalog import bundled_catalog, bundled_order
 from pgph.errors import BudgetExceededError, DataError
 from pgph.groups import (SERIES_KINDS, abelian_invariants,
                          group_from_permutations, quotient_chain)
@@ -363,6 +365,24 @@ def test_integral_persistence_matrix_values():
     for i in range(1, ip2.size + 1):
         a, b, c = ip2.entry(i, i)
         assert a == b and c == ()
+
+
+def test_integral_persistence_matrices_are_pinned():
+    # 490 matrices over the five series at every degree from 1 up, whose
+    # mod-2^E and mod-3^E levels pick generators off the packed radical;
+    # the digest was recorded when the integral path moved onto the
+    # resolution engine
+    depths = {16: 4, 27: 3, 32: 3, 64: 3, 128: 3}
+    digest = hashlib.sha1()
+    count = 0
+    for entry in bundled_catalog():
+        for kind in SERIES_KINDS:
+            for n in range(1, depths.get(entry.order, 0) + 1):
+                matrix = integral_persistence_matrix(entry.group, kind, n, name=entry.id)
+                digest.update(json.dumps(matrix.to_json(), sort_keys=True).encode())
+                count += 1
+    assert count == 490
+    assert digest.hexdigest() == "d501fe9dc879695ea932130cd1f1ba1c78f934dd"
 
 
 def test_integral_fingerprints_differ():

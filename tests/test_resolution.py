@@ -264,10 +264,11 @@ def test_resolution_transients_stay_small(cold_caches):
 
 def test_generators_follow_the_greedy_rule():
     # level n takes, in order, each kernel row outside the span of the
-    # radical I.K and of the kernel rows before it
+    # radical I.K and of the kernel rows before it; orders 9 and 27 check
+    # the radical's minus one on the diagonal in the mod-3 packing
     from pgph import linalg
     for entry in bundled_catalog():
-        if not 1 < entry.order <= 16:
+        if not 1 < entry.order <= 27:
             continue
         g = entry.group
         res = minimal_resolution(g, 3)
