@@ -263,6 +263,11 @@ def load_group_file(path: str) -> CatalogEntry:
                         tags=tuple(tags))
 
 
+def _plain_file_name(name: str) -> bool:
+    """Whether ``name`` names a file in a directory: no path separator or NUL, neither . nor .."""
+    return name not in (".", "..") and not any(c in name for c in "/\\\0")
+
+
 def load_catalog(path: str) -> list[CatalogEntry]:
     """Read a catalog directory; a directory with no index is empty."""
     if not os.path.isdir(path):
@@ -279,6 +284,9 @@ def load_catalog(path: str) -> list[CatalogEntry]:
                                 "expected {\"groups\": [names...]}")
     if len(set(names)) != len(names):
         raise _group_file_error(index_path, "duplicate group names")
+    for name in names:
+        if not _plain_file_name(name):
+            raise _group_file_error(index_path, f"group name {name!r} is not a plain file name")
     entries = []
     for name in names:
         entry = load_group_file(os.path.join(path, f"{name}.json"))
@@ -297,6 +305,9 @@ def write_catalog(entries, path: str) -> None:
     names = [entry.id for entry in entries]
     if len(set(names)) != len(names):
         raise DataError("duplicate entry ids")
+    for name in names:
+        if not _plain_file_name(name):
+            raise DataError(f"entry id {name!r} is not a plain file name")
     os.makedirs(path, exist_ok=True)
     for entry in entries:
         payload = {

@@ -15,13 +15,14 @@ reduction step is one XOR of a whole row; mod 3 the bitsliced pair of
 masks of the entries 1 and 2 (Boothby and Bradshaw, arXiv:0901.1413), so
 a step is seven bitwise operations.  A resolution's radical is packed into
 such rows straight from its kernel, never dense (`_radical_pivots`).  The
-back-reduced basis is the unique RREF.  Every other elimination
-(mod p >= 5, mod p^E for E > 1, and an echelon form mod 2 or 3 that stops
-at a pivot limit or leaves the rows above alone) goes through column
-panels of `_PANEL` columns: one pivot at a time on the panel's columns,
-which picks the same rows and pivots J as a pass over the whole matrix,
-then one exact product (`_product`, on limbs of w bits) updates every
-other row.  Both ways give the same matrix and pivots, byte for byte.
+back-reduced basis is the unique RREF.  Every elimination entry point
+returns that RREF, or raises, and the ring alone picks its engine.  The
+eliminations mod p >= 5, mod p^E for E > 1 and in the p-local phases go
+through column panels of `_PANEL` columns: one pivot at a time on the
+panel's columns, which picks the same rows and pivots J as a pass over
+the whole matrix, then one exact product (`_product`, on limbs of w bits)
+updates every other row.  Both ways give the same matrix and pivots, byte
+for byte.
 
 Matrices mod q are stored between eliminations at the narrowest unsigned
 dtype that holds 0 .. q-1, or int64 past 2^32 (`_store_dtype`), and worked
@@ -226,16 +227,15 @@ def _gf2_basis(rows: list[int], low: int = 0):
     return basis, grew
 
 
-def _rref_gf2(src: np.ndarray, limit: int | None = None):
+def _rref_gf2(src: np.ndarray, limit: int):
     """The RREF of ``src`` mod 2 at uint8 and its pivots, which lie in the
-    first ``limit`` columns (all of them by default); the rows past the
-    pivots are zero, and a row that is nonzero only past the limit makes
-    the system inconsistent (ValueError).  The basis is back-reduced from
-    its last pivot up: each row clears its other pivot bits with the
-    reduced rows below it."""
+    first ``limit`` columns; the rows past the pivots are zero, and a row
+    that is nonzero only past the limit makes the system inconsistent
+    (ValueError).  The basis is back-reduced from its last pivot up: each
+    row clears its other pivot bits with the reduced rows below it."""
     m, n = src.shape
     rows, w = _bit_rows(src, 2)
-    basis, _ = _gf2_basis(rows, w - (n if limit is None else limit))
+    basis, _ = _gf2_basis(rows, w - limit)
     leads = sorted(basis, reverse=True)
     done = 0
     for lead in reversed(leads):
@@ -274,11 +274,11 @@ def _gf3_basis(rows: list[tuple[int, int]], low: int = 0):
     return basis, grew
 
 
-def _rref_gf3(src: np.ndarray, limit: int | None = None):
+def _rref_gf3(src: np.ndarray, limit: int):
     """`_rref_gf2` mod 3: the RREF at uint8 is ones + 2 twos."""
     m, n = src.shape
     rows, w = _bit_rows(src, 3)
-    basis, _ = _gf3_basis(rows, w - (n if limit is None else limit))
+    basis, _ = _gf3_basis(rows, w - limit)
     leads = sorted(basis, reverse=True)
     done = 0
     for lead in reversed(leads):
@@ -381,38 +381,29 @@ def _row_reduce_dense(arr: np.ndarray, p: int, q: int, limit: int, reduce_above:
     return arr, pivots
 
 
-def _echelon(src: np.ndarray, p: int, pivot_limit: int | None, reduce_above: bool,
-             q: int):
-    """Eliminate a copy of ``src`` mod q into (work, pivots)."""
-    limit = src.shape[1] if pivot_limit is None else pivot_limit
-    return _row_reduce_dense(_as_fp(src, q), p, q, limit, reduce_above)
-
-
-def row_reduce(a, p: int, pivot_limit: int | None = None, reduce_above: bool = True):
-    """Gaussian elimination mod p; returns (R, pivot_columns).
-
-    Pivot search is restricted to the first `pivot_limit` columns; trailing
-    columns ride along, which is how augmented systems are solved.  With
-    `reduce_above` the result is in reduced row echelon form, otherwise
-    entries below pivots are cleared but rows above are left alone.  Rows
-    with no pivot end up at the bottom, zero in the first `pivot_limit`
-    columns.  Fully deterministic: first usable row wins each pivot.
-    """
-    work, pivots = _reduce(a, p, p, pivot_limit, reduce_above)
+def row_reduce(a, p: int):
+    """(R, pivot_columns): R the reduced row echelon form of ``a`` mod p,
+    its zero rows at the bottom; the first usable row wins each pivot."""
+    work, pivots = _reduce(a, p, p)
     return _widen(work), pivots
 
 
-def _reduce(a, p: int, q: int, pivot_limit: int | None = None, reduce_above: bool = True):
-    """`row_reduce` mod q, a power of p, with unit pivots, at
-    `_store_dtype(q)`; ValueError where a column without a unit leaves a
-    row without a pivot nonzero mod q."""
+def _reduce(a, p: int, q: int, pivot_limit: int | None = None):
+    """`row_reduce` mod q, a power of p, with unit pivots in the first
+    ``pivot_limit`` columns (all by default) and the rest riding along, at
+    `_store_dtype(q)`.  ValueError for a row left nonzero: in those columns
+    where one has no unit pivot, past them where the system is inconsistent."""
     src = _matrix(a)
-    if q in (2, 3) and reduce_above and pivot_limit in (None, src.shape[1]):
-        return (_rref_gf2 if q == 2 else _rref_gf3)(src)
-    work, pivots = _echelon(src, p, pivot_limit, reduce_above, q)
+    limit = src.shape[1] if pivot_limit is None else pivot_limit
+    if q in (2, 3):
+        return (_rref_gf2 if q == 2 else _rref_gf3)(src, limit)
+    work, pivots = _row_reduce_dense(_as_fp(src, q), p, q, limit, True)
     work = work.astype(_store_dtype(q), copy=False)
-    if q != p and work[len(pivots) :, :pivot_limit].any():
+    rest = work[len(pivots) :]
+    if rest[:, :limit].any():
         raise ValueError(f"a column has no unit pivot mod {q}")
+    if rest.any():
+        raise ValueError("inconsistent linear system")
     return work, pivots
 
 
@@ -426,9 +417,10 @@ def _complement(indices, k: int) -> np.ndarray:
 def pivot_columns(a, p: int) -> list[int]:
     """Columns of ``a`` outside the F_p span of the columns before them;
     mod 2 and 3, the columns that grow an echelon basis of Python ints."""
+    arr = _matrix(a)
     if p in (2, 3):
-        return (_gf2_basis if p == 2 else _gf3_basis)(_bit_rows(_matrix(a).T, p)[0])[1]
-    return _echelon(_matrix(a), p, None, False, p)[1]
+        return (_gf2_basis if p == 2 else _gf3_basis)(_bit_rows(arr.T, p)[0])[1]
+    return _row_reduce_dense(_as_fp(arr, p), p, p, arr.shape[1], False)[1]
 
 
 def _radical_pivots(residues: np.ndarray, cols: np.ndarray, p: int) -> list[int]:
@@ -517,13 +509,7 @@ def _solve_mod(a, b, p: int, q: int):
         raise ValueError(f"rhs width {rhs.shape[1]} does not match matrix cols {n}")
     k = rhs.shape[0]
     aug = np.hstack([arr.T, rhs.T])  # (n, m + k)
-    if q in (2, 3):
-        # raises the same ValueError on an inconsistent system
-        reduced, pivots = (_rref_gf2 if q == 2 else _rref_gf3)(aug, m)
-    else:
-        reduced, pivots = _reduce(aug, p, q, pivot_limit=m)
-        if np.any(reduced[len(pivots) :, m:]):
-            raise ValueError("inconsistent linear system")
+    reduced, pivots = _reduce(aug, p, q, pivot_limit=m)
     x = np.zeros((k, m), dtype=reduced.dtype)
     x[:, pivots] = reduced[: len(pivots), m:].T
     return x[0] if single else x

@@ -424,8 +424,12 @@ def fp_rank_echelon(matrix, p):
 
     Same arithmetic as fp_rank_simple, oriented for tall matrices: works on
     whichever of A / A^T has fewer rows and never re-reduces above a pivot.
+    The rows from the pivot row on are zero left of the pivot column, so
+    only the columns from it on are updated, at int16 when a row update,
+    -(p-1)^2 .. p-1, fits.
     """
-    a = np.array(matrix, dtype=np.int64) % p
+    dtype = np.int16 if (p - 1) ** 2 + p < 1 << 15 else np.int64
+    a = (np.asarray(matrix, dtype=np.int64) % p).astype(dtype)
     if a.size == 0:
         return 0
     if a.shape[0] > a.shape[1]:
@@ -441,10 +445,10 @@ def fp_rank_echelon(matrix, p):
         pivot = rank + int(live[0])
         if pivot != rank:
             a[[rank, pivot]] = a[[pivot, rank]]
-        a[rank] = a[rank] * pow(int(a[rank, col]), p - 2, p) % p
+        a[rank, col:] = a[rank, col:] * pow(int(a[rank, col]), p - 2, p) % p
         below = rank + 1 + np.nonzero(a[rank + 1:, col])[0]
         if len(below):
-            a[below] = (a[below] - np.outer(a[below, col], a[rank])) % p
+            a[below, col:] = (a[below, col:] - np.outer(a[below, col], a[rank, col:])) % p
         rank += 1
     return rank
 

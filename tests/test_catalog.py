@@ -238,6 +238,41 @@ def test_write_catalog_rejects_duplicate_ids(tmp_path):
         write_catalog([entry, twin], str(tmp_path / "out"))
 
 
+# names that are not plain file names: a NUL, path separators, . and ..
+NOT_FILE_NAMES = ["a\0b", "../outside", "a/b", "a\\b", ".", ".."]
+
+
+def _index_outside(tmp_path, name):
+    """A catalog directory under ``tmp_path`` whose index lists ``name``,
+    and a valid group file of that name where "../outside" leads."""
+    catalog = tmp_path / "catalog"
+    catalog.mkdir()
+    (catalog / "index.json").write_text(json.dumps({"groups": [name]}))
+    (tmp_path / "outside.json").write_text(json.dumps({
+        "name": name, "degree": 2, "generators": [[2, 1]], "tags": [],
+    }))
+    return catalog
+
+
+@pytest.mark.parametrize("name", NOT_FILE_NAMES)
+def test_load_catalog_rejects_names_that_are_not_file_names(tmp_path, name):
+    catalog = _index_outside(tmp_path, name)
+    with pytest.raises(DataError, match="^index.json: group name .* is not a plain file name"):
+        load_catalog(str(catalog))
+
+
+@pytest.mark.parametrize("name", NOT_FILE_NAMES)
+def test_write_catalog_rejects_ids_that_are_not_file_names(tmp_path, name):
+    entry = load_entry_fixture(tmp_path)
+    bad = CatalogEntry(id=name, group=entry.group,
+                       generators=entry.generators, provenance="ingested")
+    out = tmp_path / "out"
+    with pytest.raises(DataError, match="is not a plain file name"):
+        write_catalog([entry, bad], str(out))
+    # nothing is written, inside the target or outside it
+    assert not out.exists() and not (tmp_path / "outside.json").exists()
+
+
 def test_write_catalog_emits_sorted_index(tmp_path):
     entries = bundled_order(8) + bundled_order(4)
     out = tmp_path / "out"

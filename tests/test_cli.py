@@ -76,6 +76,22 @@ def test_data_errors_exit_four(capsys, tmp_path):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("name", ["a\0b", "../outside", "a/b", "a\\b", ".", ".."])
+def test_catalog_names_that_are_not_file_names_exit_four(capsys, tmp_path, name):
+    # the index names a file in the catalog directory; a valid group file
+    # where "../outside" leads is never read
+    catalog = tmp_path / "catalog"
+    catalog.mkdir()
+    (catalog / "index.json").write_text(json.dumps({"groups": [name]}))
+    (tmp_path / "outside.json").write_text(json.dumps({
+        "name": name, "degree": 2, "generators": [[2, 1]], "tags": []}))
+    code, out, err = run(capsys, ["classify", "--catalog", str(catalog),
+                                  "--series", "Z", "--max-degree", "2"])
+    assert code == 4 and out == ""
+    assert err.startswith("data error: index.json: group name ")
+    assert "not a plain file name" in err and "Traceback" not in err
+
+
 def test_budget_exhaustion_exits_three(capsys, monkeypatch, cold_caches):
     monkeypatch.setenv("PGPH_BUDGET", "10")
     code, _, err = run(capsys, ["matrix", "--group", "catalog:16.7",

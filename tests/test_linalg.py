@@ -201,11 +201,48 @@ def test_packed_solve_round_trip():
     assert not got[:, free].any()
 
 
+def test_f2_and_f3_never_reach_the_dense_eliminator(monkeypatch, cold_caches):
+    # mod 2 and 3 every entry point reduces on int rows; only the p-local
+    # phases of integral invariants still eliminate mod 2 through the panels
+    from pgph import bundled_group, group_from_permutations, homology_dims
+    from pgph.persistence import persistence_sequence
+    from oracles import cyclic_product_rep
+    dense = linalg._row_reduce_dense
+
+    def guarded(arr, p, q, limit, reduce_above):
+        assert q not in (2, 3), f"dense elimination mod {q}"
+        return dense(arr, p, q, limit, reduce_above)
+
+    monkeypatch.setattr(linalg, "_row_reduce_dense", guarded)
+    for orders, n_max, dims in (([2] * 5, 3, [1, 5, 15, 35]), ([3] * 3, 4, [1, 3, 6, 10, 15])):
+        g = group_from_permutations(cyclic_product_rep(orders))
+        assert homology_dims(g, n_max) == dims
+    for name in ("8.3", "27.3"):
+        assert len(persistence_sequence(bundled_group(name), "L", 3)) == 3
+    rng = np.random.default_rng(43)
+    for p in (2, 3):
+        a = _rank_deficient(rng, p, 30, 20)
+        kernel = linalg.kernel_basis(a, p)
+        assert len(kernel) == 30 - linalg.rank(a, p) == 30 - len(linalg.row_reduce(a, p)[1])
+        assert linalg.pivot_columns(a, p) == linalg.row_reduce(a, p)[1]
+        b = rng.integers(0, p, size=(2, 30)) @ a % p
+        assert np.array_equal(linalg.solve(a, b, p) @ a % p, b)
+        with pytest.raises(ValueError, match="inconsistent"):
+            linalg.solve(np.zeros((3, 4), dtype=int), np.ones(4, dtype=int), p)
+
+
+def _dense(a, p, q, limit=None, reduce_above=True):
+    """``a`` mod q through the dense eliminator, at ``limit`` (all columns
+    by default): the reference the other engines are checked against."""
+    limit = np.shape(a)[1] if limit is None else limit
+    return linalg._row_reduce_dense(linalg._as_fp(a, q), p, q, limit, reduce_above)
+
+
 def _dense_rref(p):
     """`linalg._rref_gf2` (p = 2) or `_rref_gf3` (p = 3) through the dense
     eliminator."""
-    def rref(src, limit=None):
-        work, pivots = linalg._echelon(src, p, limit, True, p)
+    def rref(src, limit):
+        work, pivots = _dense(src, p, p, limit)
         if work[len(pivots) :].any():
             raise ValueError("inconsistent linear system")
         return work.astype(np.uint8), pivots
@@ -242,10 +279,10 @@ def test_gf2_int_rows_match_the_dense_eliminator(monkeypatch, p, n):
                 x = rng.integers(0, p, size=(3, m))
                 rhs = [x @ vals % p, rng.integers(0, p, size=(3, n))]
                 pivots = linalg.pivot_columns(a, p)
-                assert pivots == linalg._echelon(a, p, None, False, p)[1] == want_pivots
+                assert pivots == _dense(a, p, p, reduce_above=False)[1] == want_pivots
                 assert linalg.rank(a, p) == len(want_pivots)
                 work, got_pivots = linalg._reduce(a, p, p)
-                dense, dense_pivots = linalg._echelon(a, p, None, True, p)
+                dense, dense_pivots = _dense(a, p, p)
                 assert work.dtype == np.uint8 and got_pivots == dense_pivots == want_pivots
                 assert np.array_equal(work, dense) and work.tolist() == want_rref
                 got = {"kernel": linalg._kernel_basis_mod(a, p, p)}
@@ -356,10 +393,9 @@ def _eliminations(a, p, q, limit, rng):
     m = a.shape[0]
     calls = {
         "reduce": lambda: linalg._reduce(a, p, q),
-        "echelon": lambda: linalg._reduce(a, p, q, reduce_above=False),
-        "reduce_limit": lambda: linalg._reduce(a, p, q, pivot_limit=limit),
-        "echelon_limit": lambda: linalg._reduce(a, p, q, pivot_limit=limit,
-                                                reduce_above=False),
+        "echelon": lambda: _dense(a, p, q, reduce_above=False),
+        "reduce_limit": lambda: _dense(a, p, q, limit),
+        "echelon_limit": lambda: _dense(a, p, q, limit, reduce_above=False),
         "kernel": lambda: linalg._kernel_basis_mod(a, p, q),
         "solve": lambda: linalg._solve_mod(a, _exact(rng.integers(0, q, size=(3, m)), q) @ a % q,
                                            p, q),
@@ -414,8 +450,7 @@ def test_panels_match_the_pivot_loop(monkeypatch, panel, sizes):
                 assert not (_exact(got["kernel"], q) @ (a @ v % q) % q).any()
         if q == p:
             assert np.array_equal(linalg.kernel_basis(a, p), got["kernel"])
-            assert np.array_equal(linalg.row_reduce(a, p, limit, False)[0],
-                                  got["echelon_limit"])
+            assert np.array_equal(linalg.row_reduce(a, p)[0], got["reduce"])
 
 
 @pytest.mark.parametrize("p, width, m, n, limit", [
@@ -450,10 +485,11 @@ def test_row_reduce_matches_the_rref_oracle(monkeypatch, p, width, m, n, limit):
                 patch.setattr(linalg, "_PANEL", panel)
                 patch.setattr(linalg, "_CHUNK", 4 * n + 1)
             for src in inputs:
-                for lim in (None, limit):
+                # the public RREF at full width, the dense one at the limit
+                for lim, (got, got_pivots) in ((None, linalg.row_reduce(src, p)),
+                                               (limit, _dense(src, p, p, limit))):
                     want, pivots = rref_mod_p(src.tolist(), p, lim)
-                    got, got_pivots = linalg.row_reduce(src, p, lim)
-                    assert got.dtype == np.int64
+                    assert got.dtype == (np.int64 if lim is None else linalg._fp_dtype(p))
                     assert got_pivots == pivots, (panel, src.dtype, lim)
                     assert got.tolist() == want, (panel, src.dtype, lim)
 

@@ -29,6 +29,16 @@ def test_rank_variants_agree_odd_prime():
     rng = np.random.default_rng(11)
     for m in random_matrices(rng, 5):
         assert oracles.fp_rank_echelon(m, 5) == oracles.fp_rank_simple(m, 5)
+    # low-rank and sparse matrices, tall and wide, worked at int16 up to
+    # the last int16 prime 181 and at int64 from 191 on
+    for p in (2, 3, 5, 7, 11, 13, 181, 191):
+        for density in (0.1, 0.5, 1.0):
+            for _ in range(8):
+                rows, cols = (int(v) for v in rng.integers(1, 40, size=2))
+                r = int(rng.integers(0, min(rows, cols) + 1))
+                m = rng.integers(0, p, size=(rows, r)) @ rng.integers(0, p, size=(r, cols))
+                m = m * (rng.random((rows, cols)) < density) % p
+                assert oracles.fp_rank_echelon(m, p) == oracles.fp_rank_simple(m, p), (p, m.shape)
 
 
 def test_rank_edge_shapes():

@@ -112,6 +112,19 @@ def test_dims_match_bar_complex_oracle():
     for perms, p, n_max in ((D4, 2, 3), (Q8, 2, 3), (C4xC2, 2, 3), (C3xC3, 3, 3)):
         g = group_from_permutations(perms)
         assert homology_dims(g, n_max) == bar_homology_dims(g.cayley, p, n_max)
+    # every bundled group of order 8 to degree 5, the order-32 families to 2
+    cases = [(f"8.{k}", 5) for k in range(1, 6)]
+    cases += [(f"32.{family}", 2) for family in ("dihedral", "quaternion", "semidihedral")]
+    for name, n_max in cases:
+        g = bundled_group(name)
+        assert homology_dims(g, n_max) == bar_homology_dims(g.cayley, 2, n_max), name
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("family", ["dihedral", "quaternion", "semidihedral"])
+def test_dims_match_bar_complex_oracle_order_32(family):
+    g = bundled_group(f"32.{family}")
+    assert homology_dims(g, 3) == bar_homology_dims(g.cayley, 2, 3)
 
 
 @pytest.mark.slow
