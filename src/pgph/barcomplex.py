@@ -26,7 +26,6 @@ ConsistencyError.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -35,7 +34,7 @@ import numpy as np
 from pgph import linalg
 from pgph.config import default_budgets
 from pgph.errors import BudgetExceededError, ConsistencyError
-from pgph.groups import FiniteGroup, GroupHom
+from pgph.groups import FiniteGroup, GroupHom, _log_p
 from pgph.resolution import MinimalResolution, _chain_map, _prime, _resolution
 
 
@@ -93,11 +92,6 @@ class IntegralHomology:
     invariants: list[int]
 
 
-def _exponent(group: FiniteGroup, p: int) -> int:
-    """e = v_p(|G|) + 1 for a p-group G."""
-    return 1 + round(math.log(group.order, p))
-
-
 def _invariants(matrix: np.ndarray, p: int, e: int) -> list[int]:
     """The non-units of a p-local Smith form of ``matrix`` mod p^e."""
     return [d for d in linalg.snf_p_local(matrix, p, e) if d > 1]
@@ -144,7 +138,7 @@ def _chain_triples(groups, links, n: int) -> dict:
     if n <= 0:
         cell = ([0], [0], []) if n == 0 else ([], [], [])
         return {(i, j): cell for i in range(len(groups)) for j in range(i, len(groups))}
-    e = max(_exponent(g, p) for g in groups)
+    e = 1 + max(_log_p(g.order, p) for g in groups)
     q = p ** (2 * e)
     # the block sums of |Q| residues mod q (`resolution._block_sums`) are int64
     if (needed := q * max(g.order for g in groups)) >= linalg._INT64_SAFE:

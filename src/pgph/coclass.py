@@ -13,15 +13,16 @@ Walking down the path, the induced maps in mod-2 homology
     nu(l, k) : H_n(G_{l+k}; F_2) -> H_n(G_l; F_2)
 
 have nested images over k, and their dimensions settle as the window
-grows.  Down the path the quotients form one chain, the certified tower
-(``_tower``), so these dimensions are the entries above the diagonal of
-the tower's persistence matrix, computed by the same engine as
-``persistence_matrix``.  ``tree_persistence`` reports them together with
-the detected stable value, the finite-window estimate of the degree-n
-homology of the whole tree.  ``verify_tree_h2_bound`` checks the degree-2
-consequences: on path groups dim H_2 exceeds the stable dimension by
-exactly one, on leaves it is at least the stable dimension, and the sum is
-a lower bound for the number of relators in any presentation.
+grows.  The quotients down from a member are its lower central quotient
+chain (``quotient_chain``), each one certified against the dihedral group
+of its order (``_tower``), so these dimensions are entries above the
+diagonal of the member's lower central persistence matrix, the one that
+``persistence_matrix`` returns.  ``tree_persistence`` reports them
+together with the detected stable value, the finite-window estimate of the
+degree-n homology of the whole tree.  ``verify_tree_h2_bound`` checks the
+degree-2 consequences: on path groups dim H_2 exceeds the stable dimension
+by exactly one, on leaves it is at least the stable dimension, and the sum
+is a lower bound for the number of relators in any presentation.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import threading
 from pgph.config import DEFAULT_ORDER_CAP
 from pgph.errors import BudgetExceededError, DataError
 from pgph.groups import (FiniteGroup, GroupHom, abelianization_invariants,
-                         group_from_permutations, quotient, series)
+                         group_from_permutations, quotient_chain, series)
 from pgph.persistence import _matrix_for_chain
 from pgph.resolution import minimal_resolution
 
@@ -42,7 +43,7 @@ _MIN_LEVEL = {"dihedral": 3, "quaternion": 3, "semidihedral": 4}
 _FAMILY_CACHE: dict[tuple[str, int], FiniteGroup] = {}
 _TOWERS: dict[tuple[str, int],
               tuple[tuple[FiniteGroup, ...], tuple[GroupHom, ...]]] = {}
-_FAMILY_LOCK = threading.Lock()
+_FAMILY_LOCK = threading.RLock()
 
 
 def _mod_affine_perms(modulus: int, mult: int) -> list[list[int]]:
@@ -143,37 +144,28 @@ def _tower(kind: str, l_max: int):
     """The level-``l_max`` family member and its quotients down to level 3.
 
     Returns ``(groups, links)`` top first: ``groups[i]`` has level
-    ``l_max - i`` and ``links[i]`` maps it onto ``groups[i + 1]``.  Each link
-    is the quotient by the last nontrivial lower-central term, certified to
-    have a kernel of order 2 and a target matching the dihedral group of
-    that order by invariants (order, class, order histogram,
-    abelianization, center, derived subgroup), not by an isomorphism
-    search.  Iterated quotients make consecutive links literally compose.
-    Each tower is built once and cached beside the family members.
+    ``l_max - i`` and ``links[i]`` maps it onto ``groups[i + 1]``.  They
+    are the first ``l_max - 2`` quotients of the lower central quotient
+    chain of the member and the maps between them: each link divides by
+    the last nontrivial lower-central term.  Each quotient is certified to
+    match the dihedral group of its order by invariants (order, class,
+    order histogram, abelianization, center, derived subgroup), not by an
+    isomorphism search.  Each tower is built once and cached beside the
+    family members.
     """
     key = (kind, l_max)
     with _FAMILY_LOCK:
-        cached = _TOWERS.get(key)
-    if cached is not None:
-        return cached
-    groups = [family(kind, l_max)]
-    links = []
-    for level in range(l_max - 1, 2, -1):
-        kernel = series(groups[-1], "L").terms[-2]
-        if kernel.order != 2:
-            raise DataError(f"{kind} level {level + 1}: last lower-central "
-                            f"term has order {kernel.order}, expected 2")
-        quot, proj = quotient(groups[-1], kernel)
-        if (_invariant_signature(quot)
-                != _invariant_signature(family("dihedral", level))):
-            raise DataError(f"no tree edge: the quotient of the level-"
-                            f"{level + 1} {kind} group does not match the "
-                            f"dihedral group of order {2 ** level}")
-        groups.append(quot)
-        links.append(proj)
-    # the build runs outside the lock: family() takes it too
-    with _FAMILY_LOCK:
-        return _TOWERS.setdefault(key, (tuple(groups), tuple(links)))
+        if key not in _TOWERS:
+            chain = quotient_chain(family(kind, l_max), "L")
+            groups = chain.quotients[:l_max - 2]
+            for level, quot in zip(range(l_max - 1, 2, -1), groups[1:]):
+                if (_invariant_signature(quot)
+                        != _invariant_signature(family("dihedral", level))):
+                    raise DataError(f"no tree edge: the quotient of the level-"
+                                    f"{level + 1} {kind} group does not match the "
+                                    f"dihedral group of order {2 ** level}")
+            _TOWERS[key] = (groups, chain.maps[:l_max - 3])
+        return _TOWERS[key]
 
 
 def tree_links(kind: str, level: int) -> GroupHom:

@@ -336,24 +336,29 @@ def quotient(group: FiniteGroup, normal: Subgroup | Sequence[int]) -> tuple[Fini
     Cosets are numbered by their minimal representative, so the result is
     canonical for a fixed numbering of the parent.
     """
-    elems = normal.elements if isinstance(normal, Subgroup) else tuple(int(x) for x in normal)
-    elems = np.asarray(sorted(set(elems)), dtype=np.int32)
+    n = group.order
+    elems = np.asarray(normal.elements if isinstance(normal, Subgroup) else normal,
+                       dtype=np.int64)
+    if elems.size and (elems.min() < 0 or elems.max() >= n):
+        raise DataError(f"subgroup elements outside 0..{n - 1}")
+    elems = _distinct(elems, n)
     if len(elems) == 0 or elems[0] != 0:
         raise DataError("normal subgroup must contain the identity")
-    inside = np.zeros(group.order, dtype=bool)
+    inside = np.zeros(n, dtype=bool)
     inside[elems] = True  # it holds the identity: closed iff every product is inside
     if not inside[group.cayley[np.ix_(elems, elems)]].all():
         raise DataError("element set is not closed under multiplication")
     rep = group.cayley[:, elems].min(axis=1)
-    lookup = {int(r): i for i, r in enumerate(sorted(set(int(x) for x in rep)))}
-    proj = np.array([lookup[int(r)] for r in rep], dtype=np.int32)
-    reps = np.array(sorted(lookup), dtype=np.int32)
-    table = proj[group.cayley[np.ix_(reps, reps)]]
-    q = FiniteGroup(table, validate=False)
-    # well-definedness of the table doubles as the normality check
-    if not np.array_equal(proj[group.cayley], q.cayley[proj[:, None], proj[None, :]]):
-        raise DataError("subgroup is not normal")
-    return q, GroupHom(group, q, proj)
+    reps = _distinct(rep, n)
+    number = np.zeros(n, dtype=np.int32)
+    number[reps] = np.arange(len(reps), dtype=np.int32)
+    proj = number[rep]
+    q = FiniteGroup(proj[group.cayley[np.ix_(reps, reps)]], validate=False)
+    # the table is well defined, so proj a homomorphism, iff the subgroup is normal
+    try:
+        return q, GroupHom(group, q, proj)
+    except DataError:
+        raise DataError("subgroup is not normal") from None
 
 
 @dataclass(frozen=True)
@@ -361,27 +366,29 @@ class QuotientChain:
     """Quotients Q_1 = G, ..., Q_N induced by one series, with their maps.
 
     ``maps[t]`` is the surjection Q_{t+1} -> Q_{t+2} (0-based list index);
-    ``projections[t]`` is the projection G -> Q_{t+1}.
+    ``projections[t]`` is the projection G -> Q_{t+1}, composed from them.
     """
 
     group: FiniteGroup
     kind: str
     quotients: tuple[FiniteGroup, ...]
     maps: tuple[GroupHom, ...]
-    projections: tuple[GroupHom, ...]
 
     def __len__(self) -> int:
         return len(self.quotients)
+
+    @cached_property
+    def projections(self) -> tuple[GroupHom, ...]:
+        return tuple(self.hom(1, t) for t in range(1, len(self) + 1))
 
     def hom(self, i: int, j: int) -> GroupHom:
         """The composite surjection Q_i -> Q_j for 1 <= i <= j <= N."""
         if not 1 <= i <= j <= len(self.quotients):
             raise DataError(f"chain map indices out of range: {i}, {j}")
         mapping = np.arange(self.quotients[i - 1].order, dtype=np.int32)
-        hom = GroupHom(self.quotients[i - 1], self.quotients[i - 1], mapping)
-        for t in range(i - 1, j - 1):
-            hom = hom.compose(self.maps[t])
-        return hom
+        for link in self.maps[i - 1:j - 1]:
+            mapping = link.mapping[mapping]
+        return GroupHom(self.quotients[i - 1], self.quotients[j - 1], mapping)
 
 
 def quotient_chain(group: FiniteGroup, kind: str) -> QuotientChain:
@@ -390,28 +397,24 @@ def quotient_chain(group: FiniteGroup, kind: str) -> QuotientChain:
     For a descending series G = F_1 > ... > F_k = 1 the chain is
     Q_t = G / F_{k+1-t}, t = 1..k-1; for an ascending series
     1 = S_0 < ... < S_c = G it is Q_t = G / S_{t-1}, t = 1..c.  Either way
-    Q_1 = G and each Q_t -> Q_{t+1} is the natural surjection.
+    Q_1 is ``group`` itself, and Q_{t+1} is built as Q_t divided by the
+    image of the next term, so each map Q_t -> Q_{t+1} is that quotient's
+    own projection.  Cosets are numbered by their least element of G at
+    every step, so Q_t has the table of ``quotient(group, term)``.
     """
     if group.order == 1:
         raise DataError("trivial group has no quotient chain")
     ser = series(group, kind)
-    if ser.descending:
-        normals = [ser.terms[i] for i in range(len(ser.terms) - 1, 0, -1)]
-    else:
-        normals = list(ser.terms[:-1])
-    quotients: list[FiniteGroup] = []
-    projections: list[GroupHom] = []
-    for sub in normals:
-        q, proj = quotient(group, sub)
+    # the terms from the trivial one up; the chain divides by all but the top
+    normals = ser.terms[:0:-1] if ser.descending else ser.terms[:-1]
+    quotients, maps = [group], []
+    proj = np.arange(group.order, dtype=np.int32)  # G -> quotients[-1]
+    for sub in normals[1:]:
+        q, link = quotient(quotients[-1], proj[np.asarray(sub.elements)])
         quotients.append(q)
-        projections.append(proj)
-    maps = []
-    for t in range(len(quotients) - 1):
-        src, dst = quotients[t], quotients[t + 1]
-        mapping = np.empty(src.order, dtype=np.int32)
-        mapping[projections[t].mapping] = projections[t + 1].mapping
-        maps.append(GroupHom(src, dst, mapping))
-    return QuotientChain(group, kind, tuple(quotients), tuple(maps), tuple(projections))
+        maps.append(link)
+        proj = link.mapping[proj]
+    return QuotientChain(group, kind, tuple(quotients), tuple(maps))
 
 
 def group_from_permutations(perms: Sequence[Sequence[int]]) -> FiniteGroup:
@@ -464,6 +467,17 @@ def group_from_permutations(perms: Sequence[Sequence[int]]) -> FiniteGroup:
 min_generators = FiniteGroup.minimal_generators
 
 
+def _log_p(n: int, p: int) -> int:
+    """The exponent s with p**s == n, exactly; DataError if there is none."""
+    s, rest = 0, n
+    while rest > 1 and rest % p == 0:
+        rest //= p
+        s += 1
+    if rest != 1:
+        raise DataError(f"{n} is not a power of {p}")
+    return s
+
+
 def abelian_invariants(group: FiniteGroup) -> list[int]:
     """Invariants of an abelian p-group as prime powers, ascending.
 
@@ -480,11 +494,7 @@ def abelian_invariants(group: FiniteGroup) -> list[int]:
     k = 1
     while True:
         count = int(np.count_nonzero(group.power_table(p ** k) == 0))
-        s = 0
-        while p ** s < count:
-            s += 1
-        if p ** s != count:
-            raise DataError("solution count is not a power of p")
+        s = _log_p(count, p)
         exponents_ge.append(s - prev)
         prev = s
         if count == group.order:

@@ -28,8 +28,8 @@ from pgph import linalg
 from pgph.barcomplex import _chain_triples
 from pgph.config import default_budgets
 from pgph.errors import ConsistencyError, DataError, PgphError
-from pgph.groups import (FiniteGroup, GroupHom, Subgroup, min_generators,
-                         quotient_chain, series)
+from pgph.groups import (FiniteGroup, GroupHom, Subgroup, _log_p,
+                         min_generators, quotient_chain, series)
 from pgph.resolution import induced_map, minimal_resolution
 
 
@@ -441,14 +441,7 @@ def _section_p_rank(group: FiniteGroup, upper: Subgroup, lower: Subgroup,
     gens = sorted(set(int(powers[x]) for x in upper.elements)
                   | set(lower.elements))
     closure = group.subgroup_generated(gens)
-    quotient_size = upper.order // len(closure)
-    rank = 0
-    while quotient_size > 1:
-        if quotient_size % p:
-            raise DataError("series section size is not a power of p")
-        quotient_size //= p
-        rank += 1
-    return rank
+    return _log_p(upper.order // len(closure), p)
 
 
 def verify_lower_central_barcodes(group: FiniteGroup) -> dict:

@@ -59,9 +59,8 @@ from pgph.groups import FiniteGroup, GroupHom
 
 _RESOLUTIONS: dict[tuple, "MinimalResolution"] = {}
 _CHAIN_MAPS: dict[tuple, "_ChainMap"] = {}
-# guards get-or-create on the caches; each cached object carries its own
-# lock so callers on several threads can share resolutions
-_CACHE_LOCK = threading.Lock()
+# guards both caches and every level build, so threads can share them
+_LOCK = threading.RLock()
 
 
 def _acting_columns(group: FiniteGroup, columns: np.ndarray, elements) -> np.ndarray:
@@ -103,7 +102,6 @@ class MinimalResolution:
         self.gen_images: list[np.ndarray | None] = [None]
         self.lead: list[np.ndarray] = []
         self._checked: tuple = (None, -1)  # budgets, degree of the last passing check
-        self._lock = threading.RLock()
 
     def _charge(self, budgets: Budgets, stage: str, entries: int) -> None:
         check = budgets.check_fp if self.modulus == self.prime else budgets.check_int
@@ -148,30 +146,27 @@ class MinimalResolution:
         cols = _acting_columns(self.group, lead, self.group.minimal_generators())
         ends = k - 1 - np.array(linalg._radical_pivots(residues, cols, p), dtype=np.intp)
         picks = linalg._complement(ends, k)
-        # gen_images and lead first: unlocked readers treat len(ranks)
-        # as the high-water mark of completed levels
         self.gen_images.append(kernel[picks])
         self.lead.append(lead)
         self.ranks.append(len(picks))
 
     def extend_to(self, degree: int) -> None:
         budgets = default_budgets()
-        if self._checked[0] == budgets and degree <= self._checked[1]:
-            return
-        n_gens = len(self.group.minimal_generators())
-        for n in range(degree):
-            # level n + 1 needs D_n and the radical of K_n, d k_n x k_n with
-            # k_n = b_n |G| - k_(n-1) by exactness; cached levels are checked
-            # too, so refusals do not depend on the cache
-            if n:
-                self._charge(budgets, "resolution differential", self._differential_entries(n))
-            k = self.ranks[n] * self.group.order - (len(self.lead[n - 1]) if n else 1)
-            self._charge(budgets, "resolution radical", n_gens * k * k)
-            if len(self.ranks) <= n + 1:
-                with self._lock:
-                    if len(self.ranks) <= n + 1:
-                        self._build(n)
-        self._checked = (budgets, degree)
+        with _LOCK:
+            if self._checked[0] == budgets and degree <= self._checked[1]:
+                return
+            n_gens = len(self.group.minimal_generators())
+            for n in range(degree):
+                # level n + 1 needs D_n and the radical of K_n, d k_n x k_n with
+                # k_n = b_n |G| - k_(n-1) by exactness; cached levels are checked
+                # too, so refusals do not depend on the cache
+                if n:
+                    self._charge(budgets, "resolution differential", self._differential_entries(n))
+                k = self.ranks[n] * self.group.order - (len(self.lead[n - 1]) if n else 1)
+                self._charge(budgets, "resolution radical", n_gens * k * k)
+                if len(self.ranks) <= n + 1:
+                    self._build(n)
+            self._checked = (budgets, degree)
 
     def tensored(self, n: int) -> np.ndarray:
         """d_n tensored with Z, mod q: b_n x b_(n-1)."""
@@ -188,7 +183,7 @@ def minimal_resolution(group: FiniteGroup, degree: int) -> MinimalResolution:
 
 
 def _cached(cache: dict, key: tuple, make):
-    with _CACHE_LOCK:
+    with _LOCK:
         if key not in cache:
             cache[key] = make()
         return cache[key]
@@ -224,7 +219,6 @@ class _ChainMap:
         start[0, 0] = 1                             # e_1 -> e_1
         self.levels = [start]
         self._checked: tuple = (None, -1)
-        self._lock = threading.RLock()
 
     def _lift(self, n: int) -> np.ndarray:
         """Level n, solved against the target's D_n: x @ d'_n and the image
@@ -240,22 +234,21 @@ class _ChainMap:
 
     def extend_to(self, degree: int) -> None:
         budgets = default_budgets()
-        if self._checked[0] == budgets and degree <= self._checked[1]:
-            return
-        source, target = self.source, self.target
-        source.extend_to(degree)
-        target.extend_to(degree)
-        for n in range(1, degree + 1):
-            # level n needs f_(n-1) at the target's leading columns, and the
-            # target's D_n; cached levels are checked too, as in resolutions
-            source._charge(budgets, "chain map matrix", source.ranks[n - 1]
-                           * source.group.order * len(target.lead[n - 1]))
-            target._charge(budgets, "resolution differential", target._differential_entries(n))
-            if len(self.levels) <= n:
-                with self._lock:
-                    if len(self.levels) <= n:
-                        self.levels.append(self._lift(n))
-        self._checked = (budgets, degree)
+        with _LOCK:
+            if self._checked[0] == budgets and degree <= self._checked[1]:
+                return
+            source, target = self.source, self.target
+            source.extend_to(degree)
+            target.extend_to(degree)
+            for n in range(1, degree + 1):
+                # level n needs f_(n-1) at the target's leading columns, and the
+                # target's D_n; cached levels are checked too, as in resolutions
+                source._charge(budgets, "chain map matrix", source.ranks[n - 1]
+                               * source.group.order * len(target.lead[n - 1]))
+                target._charge(budgets, "resolution differential", target._differential_entries(n))
+                if len(self.levels) <= n:
+                    self.levels.append(self._lift(n))
+            self._checked = (budgets, degree)
 
     def homology_matrix(self, n: int) -> np.ndarray:
         """f_n tensored with Z, mod q; mod p it induces H_n(source) -> H_n(target)."""

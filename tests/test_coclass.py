@@ -112,9 +112,9 @@ def test_tree_persistence_report_structure():
 @pytest.mark.parametrize("kind", FAMILY_KINDS)
 @pytest.mark.parametrize("degree", [2, 3, 4])
 def test_tree_persistence_reads_the_persistence_matrix(kind, degree):
-    # the lower-central quotient chain of the top member is numbered
-    # independently of the tower; column j of its matrix holds the images
-    # into level 7 - j, the row above the diagonal is k = 1
+    # the tower is read off the lower central quotient chain of the top
+    # member; column j of its matrix holds the images into level 7 - j, the
+    # row above the diagonal is k = 1
     rep = tree_persistence(kind, degree, 3, 7)
     m = persistence_matrix(family(kind, 7), "L", degree).matrix
     for lvl, row in zip(range(3, 7), rep["imageDims"]):
@@ -124,17 +124,17 @@ def test_tree_persistence_reads_the_persistence_matrix(kind, degree):
 
 def test_tree_tower_is_built_once(cold_caches, monkeypatch):
     calls = []
-    real = coclass.quotient
+    real = coclass.quotient_chain
 
-    def counting(group, sub):
-        calls.append(group.order)
-        return real(group, sub)
-    monkeypatch.setattr(coclass, "quotient", counting)
+    def counting(group, kind):
+        calls.append((group.order, kind))
+        return real(group, kind)
+    monkeypatch.setattr(coclass, "quotient_chain", counting)
     for degree in (1, 2, 3):
         tree_persistence("dihedral", degree, 3, 6)
     tree_links("dihedral", 5)
-    # one quotient per link of the level-6 tower: 6 -> 5 -> 4 -> 3
-    assert calls == [64, 32, 16]
+    # the level-6 tower is one lower central chain, built once
+    assert calls == [(64, "L")]
 
 
 def test_tree_persistence_leaf_families():

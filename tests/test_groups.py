@@ -16,9 +16,10 @@ from pgph import (
     quotient_chain,
     series,
 )
-from pgph.catalog import _bundled_registry
+from pgph.catalog import _bundled_registry, bundled_catalog
 from pgph.config import DEFAULT_ORDER_CAP
 from pgph.errors import BudgetExceededError
+from pgph.groups import SERIES_KINDS, Subgroup, _log_p
 from oracles import ToyGroup, perm_compose
 
 
@@ -300,6 +301,33 @@ def test_quotient_chain_consistency():
         assert end.target.order == chain.quotients[-1].order
 
 
+def test_quotient_chain_matches_the_definition_on_every_bundled_chain():
+    # Q_t is G divided by one series term, with cosets numbered by their
+    # least element of G; the chain builds it as an iterated quotient and
+    # must give the same table, the same links and the same projections
+    chains = 0
+    for entry in bundled_catalog():
+        g = entry.group
+        if g.order == 1:
+            continue
+        for kind in SERIES_KINDS:
+            ser = series(g, kind)
+            terms = ser.terms[:0:-1] if ser.descending else ser.terms[:-1]
+            chain = quotient_chain(g, kind)
+            assert chain.quotients[0] is g
+            assert len(chain) == len(terms)
+            direct = [quotient(g, term) for term in terms]
+            for t, (q, proj) in enumerate(direct):
+                assert np.array_equal(chain.quotients[t].cayley, q.cayley), (entry.id, kind, t)
+                assert np.array_equal(chain.projections[t].mapping, proj.mapping)
+                if t:
+                    link = np.empty(direct[t - 1][0].order, dtype=np.int32)
+                    link[direct[t - 1][1].mapping] = proj.mapping
+                    assert np.array_equal(chain.maps[t - 1].mapping, link)
+            chains += 1
+    assert chains == 235
+
+
 def test_trivial_group_has_no_chain():
     g = group_from_permutations([(0,)])
     assert g.order == 1
@@ -336,3 +364,50 @@ def test_hom_validation():
     GroupHom(c4, c2, [0, 1, 0, 1])
     with pytest.raises(DataError):
         GroupHom(c4, c2, [0, 1, 1, 0])
+
+
+def test_log_p_is_exact():
+    assert [_log_p(n, 2) for n in (1, 2, 8, 2 ** 70)] == [0, 1, 3, 70]
+    assert _log_p(3 ** 40, 3) == 40
+    for n, p in ((0, 2), (12, 2), (6, 3), (3 ** 40 + 3, 3), (-8, 2)):
+        with pytest.raises(DataError, match=f"^{n} is not a power of {p}$"):
+            _log_p(n, p)
+
+
+def _c4():
+    return group_from_permutations(C4)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: FiniteGroup([[0, 1]]), "must be square"),
+    (lambda: FiniteGroup(np.zeros((0, 0))), "empty multiplication table"),
+    (lambda: FiniteGroup([[0, 1], [1, 2]]), "entries out of range"),
+    (lambda: GroupHom(_c4(), _c4(), [0, 1]), "length does not match"),
+    (lambda: GroupHom(_c4(), _c4(), [0, 1, 2, 4]), "image out of range"),
+    (lambda: GroupHom(_c4(), _c4(), [0, -1, 0, 1]), "image out of range"),
+    (lambda: series(_c4(), "X"), "unknown series kind 'X'"),
+    (lambda: quotient(_c4(), [0, 999]), "elements outside 0..3"),
+    (lambda: quotient(_c4(), [-1, 0]), "elements outside 0..3"),
+    (lambda: quotient(_c4(), [2]), "must contain the identity"),
+    (lambda: quotient(_c4(), []), "must contain the identity"),
+    (lambda: group_from_permutations([]), "at least one generating permutation"),
+    (lambda: group_from_permutations([(0, 0)]), "not a permutation"),
+    (lambda: group_from_permutations([(1, 0), (0, 1, 2)]), "not a permutation"),
+    (lambda: quotient_chain(_c4(), "L").hom(0, 1), "indices out of range: 0, 1"),
+    (lambda: quotient_chain(_c4(), "L").hom(2, 1), "indices out of range: 2, 1"),
+    (lambda: quotient_chain(_c4(), "L").hom(1, 3), "indices out of range: 1, 3"),
+], ids=["not-square", "empty", "entry-range", "hom-length", "hom-image-high",
+        "hom-image-negative", "series-kind", "quotient-past-end",
+        "quotient-negative", "no-identity", "empty-subgroup",
+        "no-permutations", "repeated-point", "mixed-degrees", "hom-below-1",
+        "hom-reversed", "hom-past-end"])
+def test_group_guards_raise_data_errors(call, message):
+    with pytest.raises(DataError, match=message):
+        call()
+
+
+def test_subgroup_membership():
+    g = _c4()
+    sub = Subgroup(g, (0, 2))
+    assert 2 in sub and np.int32(0) in sub
+    assert 1 not in sub and 3 not in sub

@@ -646,3 +646,14 @@ def test_snf_p_local_hand_values():
     # a modulus past 2^61 has no exact fixed-width representation
     with pytest.raises(BudgetExceededError, match="modulus"):
         linalg.snf_p_local([[big, 1], [0, 6]], 2, 80)
+
+
+@pytest.mark.parametrize("a, b, message", [
+    (np.eye(3, dtype=np.int64), np.ones(4, dtype=np.int64), "rhs width 4 does not match matrix cols 3"),
+    (np.eye(3, dtype=np.int64), np.ones((2, 2), dtype=np.int64), "rhs width 2 does not match matrix cols 3"),
+    (np.array([[1, 2], [2, 4]]), np.array([1, 1]), "inconsistent"),
+    (np.zeros((3, 4), dtype=np.int64), np.ones(4, dtype=np.int64), "inconsistent"),
+], ids=["wide-rhs", "narrow-rhs", "mod5-rank-one", "mod5-zero"])
+def test_solve_guards_raise_value_errors(a, b, message):
+    with pytest.raises(ValueError, match=message):
+        linalg.solve(a, b, 5)

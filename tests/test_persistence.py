@@ -405,3 +405,36 @@ def test_lower_central_structure_checks():
     big = verify_lower_central_barcodes(group_from_permutations(dihedral_rep(32)))
     assert big["passed"]
     assert big["generatorPaths"]["bars"] == [[1, 5, 2]]
+
+
+def _c4():
+    return group_from_permutations(C4)
+
+
+def _pm(rows):
+    return PersistenceMatrix("", "L", 1, (), np.array(rows, dtype=np.int64))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: persistence_matrix(_c4(), "L", -1), "must be nonnegative: -1"),
+    (lambda: integral_persistence_matrix(_c4(), "L", -1), "must be nonnegative: -1"),
+    (lambda: persistence_sequence(_c4(), "L", 0), "at least 1: 0"),
+    (lambda: classify({}, "L", 2), "empty catalog"),
+    (lambda: classify([("a", _c4()), ("a", _c4())], "L", 1), "duplicate group names"),
+    (lambda: integral_persistence_matrix(_c4(), "Z", 1).entry(0, 1),
+     "triple indices out of range: 0, 1"),
+    (lambda: integral_persistence_matrix(_c4(), "Z", 1).entry(2, 1),
+     "triple indices out of range: 2, 1"),
+    (lambda: integral_persistence_matrix(_c4(), "Z", 1).entry(1, 3),
+     "triple indices out of range: 1, 3"),
+    (lambda: _pm([[1, 1, 1]]).validate(), "not square"),
+    (lambda: _pm([[1, 0], [1, 1]]).validate(), "below the diagonal"),
+    (lambda: _pm([[1, -1], [0, 1]]).validate(), "negative entry"),
+    (lambda: _pm([[1, 2], [0, 2]]).validate(), "rank grows along row 1"),
+    (lambda: _pm([[2, 2], [0, 1]]).validate(), "rank shrinks down column 2"),
+], ids=["matrix-degree", "integral-degree", "sequence-degree", "empty-catalog",
+        "duplicate-names", "entry-below-1", "entry-reversed", "entry-past-end",
+        "not-square", "below-diagonal", "negative", "row-grows", "column-shrinks"])
+def test_persistence_guards_raise_data_errors(call, message):
+    with pytest.raises(DataError, match=message):
+        call()

@@ -240,13 +240,13 @@ def test_levels_are_stored_narrow_and_read_out_at_int64(cold_caches, name, degre
     # q = p and q = p^(2e) (2^8 for order 8, 3^8 for order 27): levels are
     # kept at the narrowest unsigned dtype, results leave at int64
     from pgph import linalg
-    from pgph.barcomplex import _exponent
+    from pgph.groups import _log_p
     from pgph.resolution import _chain_map
 
     g = bundled_group(name)
     p = g.prime
     hom = quotient_chain(g, "L").hom(1, 2)
-    for q in (p, p ** (2 * _exponent(g, p))):
+    for q in (p, p ** (2 * (1 + _log_p(g.order, p)))):
         cm = _chain_map(hom, q)
         cm.extend_to(degree)
         store = linalg._store_dtype(q)
