@@ -9,8 +9,9 @@ The bundled catalog covers every group of prime-power order up to 16 and
 of order 27, the dihedral / quaternion / semidihedral families up to
 order 256 (ids like ``64.dihedral``), and the named abelian group
 C2 x C4 x C4 x C16 of order 512.  Ids follow the ``order.index``
-convention of the standard small-group numbering.  Other orders are
-ingested from user-provided files:
+convention of the standard small-group numbering.  A lookup closes only
+the entries it returns.  Other orders are ingested from user-provided
+files:
 
     { "name": "32.1", "degree": 32, "generators": [[...1-based...]],
       "tags": [] }
@@ -161,47 +162,48 @@ def _id_sort_key(name: str):
     return (0, order, 1, index_part)
 
 
-_BUNDLED: tuple[CatalogEntry, ...] | None = None
+_REGISTRY = _bundled_registry()
+_BUNDLED: dict[str, CatalogEntry] = {}
 _BUNDLED_LOCK = threading.Lock()
+
+
+def _bundled_entries(names) -> list[CatalogEntry]:
+    """The bundled entries of ``names``, each closed and checked against
+    its order on its first request: a lookup closes no other group."""
+    with _BUNDLED_LOCK:
+        for name in names:
+            if name in _BUNDLED:
+                continue
+            if name not in _REGISTRY:
+                raise DataError(f"no bundled group {name!r}")
+            group = group_from_permutations(_REGISTRY[name])
+            if group.order != int(name.partition(".")[0]):
+                raise DataError(f"bundled group {name} has order {group.order}")
+            _BUNDLED[name] = CatalogEntry(
+                id=name,
+                group=group,
+                generators=tuple(tuple(p) for p in _REGISTRY[name]),
+                provenance=PROVENANCE_BUNDLED,
+            )
+        return [_BUNDLED[name] for name in names]
+
+
+def bundled_ids() -> list[str]:
+    return sorted(_REGISTRY, key=_id_sort_key)
 
 
 def bundled_catalog() -> tuple[CatalogEntry, ...]:
     """All bundled groups, constructed, validated, and ordered by id."""
-    global _BUNDLED
-    with _BUNDLED_LOCK:
-        if _BUNDLED is None:
-            entries = []
-            for name, perms in _bundled_registry().items():
-                group = group_from_permutations(perms)
-                order = int(name.partition(".")[0])
-                if group.order != order:
-                    raise DataError(f"bundled group {name} has order "
-                                    f"{group.order}")
-                entries.append(CatalogEntry(
-                    id=name,
-                    group=group,
-                    generators=tuple(tuple(p) for p in perms),
-                    provenance=PROVENANCE_BUNDLED,
-                ))
-            entries.sort(key=lambda e: _id_sort_key(e.id))
-            _BUNDLED = tuple(entries)
-    return _BUNDLED
-
-
-def bundled_ids() -> list[str]:
-    return [entry.id for entry in bundled_catalog()]
+    return tuple(_bundled_entries(bundled_ids()))
 
 
 def bundled_group(name: str) -> FiniteGroup:
-    for entry in bundled_catalog():
-        if entry.id == name:
-            return entry.group
-    raise DataError(f"no bundled group {name!r}")
+    return _bundled_entries([name])[0].group
 
 
 def bundled_order(order: int) -> list[CatalogEntry]:
     """The bundled entries of one order (empty for uncovered orders)."""
-    return [e for e in bundled_catalog() if e.order == order]
+    return _bundled_entries([n for n in bundled_ids() if n.startswith(f"{order}.")])
 
 
 # ---------------------------------------------------------------------------

@@ -337,6 +337,8 @@ def quotient(group: FiniteGroup, normal: Subgroup | Sequence[int]) -> tuple[Fini
     canonical for a fixed numbering of the parent.
     """
     n = group.order
+    if isinstance(normal, Subgroup) and normal.parent is not group:
+        raise DataError("the subgroup is of another group")
     elems = np.asarray(normal.elements if isinstance(normal, Subgroup) else normal,
                        dtype=np.int64)
     if elems.size and (elems.min() < 0 or elems.max() >= n):

@@ -24,6 +24,10 @@ the whole matrix, then one exact product (`_product`, on limbs of w bits)
 updates every other row.  Both ways give the same matrix and pivots, byte
 for byte.
 
+A kernel is read off one RREF of the transpose as (lead, piv, x): the
+identity on the columns lead and x on the pivot rows piv (`_kernel_split`).
+A resolution works on x; `kernel_basis` assembles the rows (`_kernel_rows`).
+
 Matrices mod q are stored between eliminations at the narrowest unsigned
 dtype that holds 0 .. q-1, or int64 past 2^32 (`_store_dtype`), and worked
 at the narrowest signed dtype that holds a row update (`_fp_dtype`),
@@ -81,8 +85,9 @@ def _product(left: np.ndarray, right: np.ndarray, q: int) -> np.ndarray:
     while (q-1)^2 < 2^53.  Limb pairs are multiplied over row chunks in
     float32 when inner top^2 < 2^24, top the largest limb, else in float64
     over inner chunks that keep each partial sum below 2^53, and reduced
-    at int64; the accumulator, below q, is shifted w bits (below 2^62)
-    before each next, less significant, sum of limb products."""
+    at int64 (int32 when one float32 sum is the whole product); the
+    accumulator, below q, is shifted w bits (below 2^62) before each next,
+    less significant, sum of limb products."""
     store = _store_dtype(q)
     bits = (q - 1).bit_length()
     n = 1 if (q - 1) ** 2 < 1 << 53 else -(-bits // min(26, 62 - bits))
@@ -90,24 +95,25 @@ def _product(left: np.ndarray, right: np.ndarray, q: int) -> np.ndarray:
     top = q - 1 if n == 1 else (1 << w) - 1
     inner = left.shape[1]
     if inner * top ** 2 < 1 << 24:
-        # every partial sum is a non-negative integer below 2^24: exact
-        real, step = np.float32, max(inner, 1)
+        # every partial sum is a non-negative integer below 2^24: exact;
+        # with one limb it is the whole product, so int32 holds the sum
+        real, step, exact = np.float32, max(inner, 1), np.int32 if n == 1 else np.int64
     else:
-        real, step = np.float64, ((1 << 53) - 1) // top ** 2
+        real, step, exact = np.float64, ((1 << 53) - 1) // top ** 2, np.int64
     parts = [(s, [_limb(right[s : s + step], j, n, w, real) for j in range(n)])
              for s in range(0, inner, step)]
     out = np.empty((left.shape[0], right.shape[1]), dtype=store)
     rows = max(1, _CHUNK // max(inner, 1))
     for lo in range(0, left.shape[0], rows):
-        acc = np.zeros((min(rows, left.shape[0] - lo), right.shape[1]), dtype=np.int64)
+        acc = np.zeros((min(rows, left.shape[0] - lo), right.shape[1]), dtype=exact)
         for k in range(2 * n - 1):
             if k:
                 acc <<= w
             for s, part in parts:
                 for i in range(max(0, k - n + 1), min(k, n - 1) + 1):
-                    # exact float sums, reduced at int64 by floor division
+                    # exact float sums, reduced by floor division
                     acc += (_limb(left[lo : lo + rows, s : s + step], i, n, w, real)
-                            @ part[k - i]).astype(np.int64)
+                            @ part[k - i]).astype(exact)
                     _mod(acc, q)
         out[lo : lo + rows] = acc
     return out
@@ -423,21 +429,29 @@ def pivot_columns(a, p: int) -> list[int]:
     return _row_reduce_dense(_as_fp(arr, p), p, p, arr.shape[1], False)[1]
 
 
-def _radical_pivots(residues: np.ndarray, cols: np.ndarray, p: int) -> list[int]:
+def _radical_pivots(lead: np.ndarray, piv: np.ndarray, x: np.ndarray,
+                    cols: np.ndarray, p: int) -> list[int]:
     """`pivot_columns(radical[:, ::-1], p)`, block j of the radical being
-    residues[:, cols[j]] - I mod p.  Gathered row c is reversed column c:
-    block after block, column cols[j][k-1-c] of ``residues`` less 1 at
-    entry k-1-c.  Mod 2 and 3 the columns are turned upside down and packed
+    K[:, cols[j]] - I mod p, K = I at lead and x at piv (`_kernel_split`).
+    Gathered row c is reversed column c: block after block, column
+    cols[j][k-1-c] of K less 1 at entry k-1-c.  Mod 2 and 3 the columns,
+    x's and one bit per lead column, are turned upside down and packed
     into bytes, which only permutes and pads coordinates: never dense."""
-    k, d = len(residues), len(cols)
+    k, d = len(x), len(cols)
     c, gather = np.arange(k)[:, None], cols[:, ::-1].T
     if p not in (2, 3):
-        radical, at = residues.T[gather], (c, np.arange(d), k - 1 - c)
+        table = _kernel_rows(lead, piv, x, k + len(piv)).T
+        radical, at = table[gather], (c, np.arange(d), k - 1 - c)
         # minus 1 mod p without leaving the unsigned dtype
         radical[at] = np.where(radical[at], radical[at] - 1, p - 1)
         return pivot_columns(radical.reshape(k, d * k).T, p)
     at, bit = (c, np.arange(d), c // 8), (0x80 >> c % 8).astype(np.uint8)
-    masks = [np.packbits(residues[::-1] & b, axis=0).T[gather] for b in (1, 2)[: p - 1]]
+    tables = np.zeros((p - 1, k + len(piv), -(-k // 8)), dtype=np.uint8)
+    for b in range(p - 1):
+        tables[b, piv] = np.packbits(x[::-1] & (b + 1), axis=0).T
+    # column lead[i] is 1 at entry i, turned upside down to k-1-i
+    tables[0, lead, c[::-1, 0] // 8] = bit[::-1, 0]
+    masks = list(tables[:, gather])
     if p == 2:
         masks[0][at] ^= bit
     else:
@@ -466,22 +480,34 @@ def kernel_basis(a, p: int) -> np.ndarray:
 
 def _kernel_basis_mod(a, p: int, q: int) -> np.ndarray:
     """`kernel_basis` mod q, a power of p, in RREF mod p; see `_reduce`."""
+    lead, piv, x = _kernel_split(a, p, q)
+    return _kernel_rows(lead, piv, x, len(lead) + len(piv))
+
+
+def _kernel_split(a, p: int, q: int):
+    """The kernel of ``a`` mod q in RREF mod p as (lead, piv, x): I on the
+    ascending columns lead, x on the others, piv, the pivot rows of ``a``.
+    Read off one RREF of a^T with reversed columns: its free columns are
+    lead, and x is minus its rows at them, both reversed."""
     reduced, pivots = _reduce(_matrix(a).T[:, ::-1], p, q)
     m = reduced.shape[1]
     free = _complement(pivots, m)
-    basis = np.zeros((len(free), m), dtype=reduced.dtype)
-    # filled in reversed coordinates, so the row of the lowest original
-    # free column comes first
-    flipped = basis[::-1, ::-1]
-    flipped[np.arange(len(free)), free] = 1
     # minus the pivot rows' free part, mod q at their own unsigned dtype:
     # (q - 1) - x + 1, with q taken to 0; a dtype of exactly q values,
     # uint8 for q = 256, wraps it to 0 itself
     negated = (q - 1) - reduced[: len(pivots), free].T
     negated += 1
     negated[negated == q] = 0
-    flipped[:, pivots] = negated
-    return basis
+    piv = m - 1 - np.array(pivots[::-1], dtype=np.intp)
+    return m - 1 - free[::-1], piv, np.ascontiguousarray(negated[::-1, ::-1])
+
+
+def _kernel_rows(lead: np.ndarray, piv: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
+    """The rows of length m that are 1 at lead[i], x[i] at piv and 0 elsewhere."""
+    rows = np.zeros((len(x), m), dtype=x.dtype)
+    rows[:, piv] = x
+    rows[np.arange(len(x)), lead] = 1
+    return rows
 
 
 def solve(a, b, p: int):

@@ -11,18 +11,21 @@ Each level is built in the coordinates of the kernel below it.  Let K_n
 = ker d_n be held in its unique RREF with leading columns lead[n].  The
 rows of d_n lie in K_{n-1}, where x -> x[lead[n-1]] is injective, so d_n
 is replaced by D_n = d_n[:, lead[n-1]], with the same kernel and the same
-solutions.  K_n is read off one RREF of D_n (`linalg._kernel_basis_mod`).
+solutions.  K_n is read off one RREF of D_n and held as (lead, piv, x)
+(`linalg._kernel_split`): the identity on the columns lead[n] and x on
+piv, the rank D_n pivot rows of D_n; no level forms the rest of K_n.
 In K_n-coordinates its rows are the identity and each radical block
 (g - 1) K_n is a column gather minus the identity, for the minimal
 generators g.  The new generators are the rows of K_n outside the span
 of the radical I K_n and of the rows before them: the coordinates at
 which no vector of the radical ends, read off one echelon pass over the
 radical with its columns reversed (`linalg._radical_pivots`), packed
-straight from K_n at p = 2 and 3, never dense.  Chain maps are lifted
-the same way, against the target's D_n (`linalg._solve_mod`).
-Each level checks K_n D_n = 0 exactly, that D_n has full column rank
-(exactness), and that K_n has zero block sums (minimality of the level
-before); a failure is a ConsistencyError.  Each extension reads its
+from x at p = 2 and 3, never dense; only those rows are assembled.
+Chain maps are lifted the same way, against the target's D_n
+(`linalg._solve_mod`).  Each level checks K_n D_n = D_n[lead] +
+x D_n[piv] = 0 exactly, that D_n has full column rank (exactness), and
+that K_n has zero block sums (minimality of the level before); a
+failure is a ConsistencyError.  Each extension reads its
 budgets from PGPH_BUDGET once, at its start, and checks them against
 every level it needs, cached or not, unless they passed to that degree
 already: a refusal does not depend on the cache, and a later change to
@@ -30,10 +33,10 @@ the variable leaves an extension already in flight alone.
 
 The same engine resolves Z/q over (Z/q)[G], q = p^E: a minimal Z_p[G]-
 resolution reduced mod q, with the ranks b_n.  Kernels and lifts are
-eliminated mod q with unit pivots; lead, the radical pick and the
-minimality check read K_n mod p.  These levels charge the integer budget.
+eliminated mod q with unit pivots; the radical pick and the minimality
+check read x mod p.  These levels charge the integer budget.
 
-Every matrix mod q here, D_n, K_n, the generator images and the levels
+Every matrix mod q here, D_n, x, the generator images and the levels
 of chain maps, is stored at `linalg._store_dtype(q)`: uint8 for q <= 256.
 What leaves the module, `tensored`, `homology_matrix` and so
 `induced_map`, is summed and returned at int64.
@@ -127,26 +130,32 @@ class MinimalResolution:
         return self.ranks[n] * self.group.order * len(self.lead[n - 1])
 
     def _build(self, n: int) -> None:
-        """Level n + 1, from D_n."""
-        p, q = self.prime, self.modulus
+        """Level n + 1, from D_n and its kernel K_n, held as (lead, piv, x)."""
+        p, q, size = self.prime, self.modulus, self.group.order
         diff = self.coordinate_differential(n)
-        kernel = linalg._kernel_basis_mod(diff, p, q)
-        k = len(kernel)
-        # mod p the kernel already has this dtype: a view, not a copy
-        residues = (kernel % p if q != p else kernel).astype(linalg._store_dtype(p), copy=False)
-        if linalg._product(kernel, diff, q).any():
+        lead, piv, x = linalg._kernel_split(diff, p, q)
+        k = len(lead)
+        # mod p x already has this dtype: a view, not a copy
+        residues = (x % p if q != p else x).astype(linalg._store_dtype(p), copy=False)
+        # K_n D_n = D_n[lead] + x D_n[piv], an inner size of rank D_n
+        product = linalg._product(x, diff[piv], q).astype(linalg._fp_dtype(q))
+        if linalg._mod(product + diff[lead], q).any():
             raise ConsistencyError(f"a kernel row of d_{n} is not in its kernel")
         if k + diff.shape[1] != diff.shape[0]:
             raise ConsistencyError(f"d_{n} is not onto the kernel below it")
-        if _block_sums(residues, self.group.order, p).any():
+        # the block sums of K_n: x's over the blocks of piv, 1 in lead's block
+        blocks = np.eye(self.ranks[n], dtype=residues.dtype)[piv // size]
+        sums = linalg._product(residues, blocks, p)
+        sums[np.arange(k), lead // size] += 1
+        if (sums % p).any():
             raise ConsistencyError(f"the resolution is not minimal at level {n}")
-        lead = (residues != 0).argmax(axis=1) if k else np.zeros(0, dtype=np.intp)
         # radical block (g - 1) K is K[:, g . lead] - I in K-coordinates;
         # row i is picked unless some radical vector ends at coordinate i
         cols = _acting_columns(self.group, lead, self.group.minimal_generators())
-        ends = k - 1 - np.array(linalg._radical_pivots(residues, cols, p), dtype=np.intp)
+        ends = k - 1 - np.array(linalg._radical_pivots(lead, piv, residues, cols, p),
+                                dtype=np.intp)
         picks = linalg._complement(ends, k)
-        self.gen_images.append(kernel[picks])
+        self.gen_images.append(linalg._kernel_rows(lead[picks], piv, x[picks], diff.shape[0]))
         self.lead.append(lead)
         self.ranks.append(len(picks))
 

@@ -429,11 +429,17 @@ def fp_rank_echelon(matrix, p):
     -(p-1)^2 .. p-1, fits.
     """
     dtype = np.int16 if (p - 1) ** 2 + p < 1 << 15 else np.int64
-    a = (np.asarray(matrix, dtype=np.int64) % p).astype(dtype)
+    a = np.asarray(matrix)
     if a.size == 0:
         return 0
     if a.shape[0] > a.shape[1]:
-        a = a.T.copy()
+        a = a.T
+    # one working copy, at int16 when the input fits it: a boundary built
+    # at int16 is reduced in place, never widened
+    if not np.can_cast(a.dtype, dtype):
+        a = a % p
+    a = a.astype(dtype, order="C")
+    a %= p
     m = a.shape[0]
     rank = 0
     for col in range(a.shape[1]):
@@ -503,15 +509,16 @@ def bar_basis(order, n):
 
 
 def bar_boundary(table, n):
-    """Integer matrix of d_n on the normalized bar complex, rows = B_n."""
+    """Integer matrix of d_n on the normalized bar complex, rows = B_n, at
+    int16: an entry is a sum of at most n + 1 faces, each +-1."""
     table = np.asarray(table)
     order = table.shape[0]
     if n == 0:
-        return np.zeros((1, 0), dtype=np.int64)
+        return np.zeros((1, 0), dtype=np.int16)
     rows = bar_basis(order, n)
     cols = bar_basis(order, n - 1)
     col_index = {t: i for i, t in enumerate(cols)}
-    out = np.zeros((len(rows), len(cols)), dtype=np.int64)
+    out = np.zeros((len(rows), len(cols)), dtype=np.int16)
     for r, tup in enumerate(rows):
         out[r, col_index[tup[1:]]] += 1
         sign = -1

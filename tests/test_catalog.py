@@ -18,7 +18,7 @@ from pgph.catalog import (
 )
 from pgph.coclass import _invariant_signature
 from pgph.errors import DataError
-from pgph.groups import abelianization_invariants
+from pgph.groups import abelianization_invariants, group_from_permutations
 
 
 def test_bundled_catalog_shape():
@@ -47,6 +47,31 @@ def test_bundled_entries_pairwise_distinct():
         sig = _invariant_signature(entry.group)
         assert sig not in seen, (seen.get(sig), entry.id)
         seen[sig] = entry.id
+
+
+def test_bundled_lookups_close_only_what_they_ask_for(monkeypatch):
+    # from an empty cache, one order or one id closes only its own groups,
+    # and the ids and the whole catalog come out as before
+    from pgph import catalog
+    closed = []
+
+    def closing(perms):
+        group = group_from_permutations(perms)
+        closed.append(group.order)
+        return group
+
+    full = bundled_catalog()
+    monkeypatch.setattr(catalog, "_BUNDLED", {})
+    monkeypatch.setattr(catalog, "group_from_permutations", closing)
+    assert [e.id for e in bundled_order(8)] == [f"8.{i}" for i in range(1, 6)]
+    assert closed == [8] * 5
+    assert bundled_order(8)[0] is bundled_order(8)[0] and closed == [8] * 5
+    assert bundled_group("27.3").order == 27 and closed == [8] * 5 + [27]
+    assert bundled_order(6) == [] and len(bundled_ids()) == 48 and len(closed) == 6
+    with pytest.raises(DataError, match="no bundled group"):
+        bundled_group("6.1")
+    assert [e.id for e in bundled_catalog()] == [e.id for e in full]
+    assert sorted(closed) == sorted(e.order for e in full)
 
 
 def test_bundled_ids_are_canonically_sorted():

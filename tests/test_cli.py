@@ -119,27 +119,28 @@ def test_classify_all_refused_exits_three(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
-def _corrupt_last_kernel_row(kernel_basis):
-    # the eliminator gets one entry of one kernel vector wrong
+def _corrupt_last_kernel_row(kernel_split):
+    # the eliminator gets one entry of one kernel vector wrong: the last
+    # row at the last pivot row of the differential
     def wrapped(a, p, q):
-        kernel = kernel_basis(a, p, q)
-        if len(kernel):
-            kernel[-1, -1] = (int(kernel[-1, -1]) + 1) % q
-        return kernel
+        lead, piv, x = kernel_split(a, p, q)
+        if x.size:
+            x[-1, -1] = (int(x[-1, -1]) + 1) % q
+        return lead, piv, x
     return wrapped
 
 
 def _drop_last_pivot(radical_pivots):
     # one radical vector too few: a redundant generator is picked
-    return lambda residues, cols, p: radical_pivots(residues, cols, p)[:-1]
+    return lambda lead, piv, x, cols, p: radical_pivots(lead, piv, x, cols, p)[:-1]
 
 
 def _add_a_pivot(radical_pivots):
     # one radical vector too many: a needed generator is left out
-    def wrapped(residues, cols, p):
-        pivots = radical_pivots(residues, cols, p)
+    def wrapped(lead, piv, x, cols, p):
+        pivots = radical_pivots(lead, piv, x, cols, p)
         # the radical has one column per kernel row
-        spare = sorted(set(range(len(residues))) - set(pivots))
+        spare = sorted(set(range(len(lead))) - set(pivots))
         return sorted(pivots + spare[:1])
     return wrapped
 
@@ -147,7 +148,7 @@ def _add_a_pivot(radical_pivots):
 def test_consistency_error_exits_five(capsys, monkeypatch, cold_caches):
     # each fault trips its own check of the resolution
     for name, fault, message in (
-            ("_kernel_basis_mod", _corrupt_last_kernel_row, "is not in its kernel"),
+            ("_kernel_split", _corrupt_last_kernel_row, "is not in its kernel"),
             ("_radical_pivots", _drop_last_pivot, "is not minimal"),
             ("_radical_pivots", _add_a_pivot, "is not onto")):
         with monkeypatch.context() as patch:

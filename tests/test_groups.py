@@ -16,7 +16,7 @@ from pgph import (
     quotient_chain,
     series,
 )
-from pgph.catalog import _bundled_registry, bundled_catalog
+from pgph.catalog import _bundled_registry, bundled_catalog, bundled_group
 from pgph.config import DEFAULT_ORDER_CAP
 from pgph.errors import BudgetExceededError
 from pgph.groups import SERIES_KINDS, Subgroup, _log_p
@@ -270,6 +270,19 @@ def test_quotient_rejects_bad_inputs():
         quotient(g, g.subgroup_generated([refl]))
     with pytest.raises(DataError, match="^subgroup is not normal$"):
         quotient(g, [0, refl])
+
+
+def test_quotient_rejects_a_subgroup_of_another_group():
+    # a Subgroup's indices name elements of its own parent, so it divides
+    # only that group, not another of the same order or a twin of it
+    other = bundled_group("8.3")
+    term = series(other, "L").terms[1]
+    twin = group_from_permutations(REGISTRY["8.3"])
+    for group in (bundled_group("8.2"), twin):
+        with pytest.raises(DataError, match="^the subgroup is of another group$"):
+            quotient(group, term)
+    assert quotient(other, term)[0].order == 4
+    assert quotient(twin, term.elements)[0].order == 4
 
 
 def test_quotient_chain_descending_orders():

@@ -176,6 +176,59 @@ def test_elimination_mod_a_prime_power():
     assert checked > 30
 
 
+def _dense_kernel(a, p, q):
+    """The kernel of ``a`` mod q in RREF mod p, filled in densely from one
+    RREF of a^T with reversed columns: 1 at each free column, minus the
+    pivot rows' entries there."""
+    reduced, pivots = linalg._reduce(np.asarray(a).T[:, ::-1], p, q)
+    m = reduced.shape[1]
+    free = [c for c in range(m) if c not in pivots]
+    basis = np.zeros((len(free), m), dtype=reduced.dtype)
+    # in reversed coordinates, so the row of the lowest original free
+    # column comes first
+    flipped = basis[::-1, ::-1]
+    flipped[np.arange(len(free)), free] = 1
+    flipped[:, pivots] = -reduced[: len(pivots), free].T.astype(object) % q
+    return basis
+
+
+@pytest.mark.parametrize("p, q", [(2, 2), (3, 3), (5, 5), (7, 7), (2, 4), (2, 8),
+                                  (2, 256), (3, 9), (5, 25)])
+def test_kernel_split_reassembles_the_dense_kernel(p, q):
+    # (lead, piv, x): the kernel is 1 at lead[i] and x[i] at piv in row i
+    rng = np.random.default_rng(q)
+    seen = {"empty": 0, "full rank": 0, "refused": 0, "kernel": 0}
+    for case in range(300):
+        m, n = int(rng.integers(0, 13)), int(rng.integers(0, 9))
+        if case % 3 == 1:
+            # rank at most 2
+            a = rng.integers(0, q, (m, 2)) @ rng.integers(0, q, (2, n)) % q
+        else:
+            a = rng.integers(0, q, (m, n)) * (rng.random((m, n)) < 0.5)
+        try:
+            want = _dense_kernel(a, p, q)
+        except ValueError as exc:
+            # mod p^E a column with no unit pivot is refused the same way
+            with pytest.raises(ValueError, match=str(exc)):
+                linalg._kernel_split(a, p, q)
+            seen["refused"] += 1
+            continue
+        lead, piv, x = linalg._kernel_split(a, p, q)
+        assert lead.dtype == piv.dtype == np.intp and x.dtype == linalg._store_dtype(q)
+        assert sorted([*lead, *piv]) == list(range(m)) and list(lead) == sorted(lead)
+        assert x.shape == (len(lead), len(piv)) == (m - linalg.rank(a, p), len(piv))
+        rows = np.zeros((len(lead), m), dtype=x.dtype)
+        rows[:, piv] = x
+        rows[np.arange(len(lead)), lead] = 1
+        assert rows.dtype == want.dtype and np.array_equal(rows, want)
+        dense = linalg._kernel_basis_mod(a, p, q)
+        assert dense.dtype == want.dtype and np.array_equal(dense, want)
+        assert not (rows.astype(object) @ a % q).any()
+        seen["empty" if m == 0 else "full rank" if len(piv) == n else "kernel"] += 1
+    assert seen["empty"] and seen["full rank"] and seen["kernel"]
+    assert seen["refused"] or q == p
+
+
 def test_packed_gf2_words_match_enumeration():
     # GF(2) rows of many bytes, past a 64-bit machine word, as Python ints
     rng = np.random.RandomState(23)
@@ -323,23 +376,30 @@ def test_gf2_int_rows_match_the_dense_eliminator(monkeypatch, p, n):
 
 
 def _radical_cases():
-    """(residues, cols, p): hand shapes, seeded random inputs, and the
-    levels of resolutions mod p and mod p^E."""
+    """(lead, piv, x, cols, p), a kernel held as `_kernel_split` holds it:
+    hand shapes, seeded random inputs, and the levels of resolutions mod p
+    and mod p^E."""
     from pgph import bundled_group, resolution
     rng = np.random.default_rng(41)
+    empty = np.zeros(0, dtype=np.intp)
     for p in (2, 3):
-        yield np.zeros((0, 0), dtype=np.uint8), np.zeros((1, 0), dtype=np.intp), p
-        yield np.zeros((0, 4), dtype=np.uint8), np.zeros((2, 0), dtype=np.intp), p
-        yield rng.integers(0, p, (5, 9), dtype=np.uint8), np.zeros((0, 5), dtype=np.intp), p
+        yield empty, empty, np.zeros((0, 0), dtype=np.uint8), np.zeros((1, 0), dtype=np.intp), p
+        yield (empty, np.arange(4), np.zeros((0, 4), dtype=np.uint8),
+               np.zeros((2, 0), dtype=np.intp), p)
+        yield (np.arange(5), np.arange(5, 9), rng.integers(0, p, (5, 4), dtype=np.uint8),
+               np.zeros((0, 5), dtype=np.intp), p)
         # k on both sides of a byte boundary, one to three generators
         for k in (1, 5, 7, 8, 9, 13, 16, 17, 31, 40):
             for d in (1, 2, 3):
                 for density in (0.1, 0.6):
                     width = k + int(rng.integers(0, 12))
-                    residues = (rng.integers(1, p, (k, width)) * (rng.random((k, width))
-                                                                  < density)).astype(np.uint8)
-                    yield residues, rng.integers(0, width, (d, k)), p
-    yield rng.integers(0, 5, (12, 20), dtype=np.uint8), rng.integers(0, 20, (2, 12)), 5
+                    lead = np.sort(rng.permutation(width)[:k])
+                    piv = np.setdiff1d(np.arange(width), lead)
+                    shape = (k, len(piv))
+                    x = (rng.integers(1, p, shape) * (rng.random(shape) < density)).astype(np.uint8)
+                    yield lead, piv, x, rng.integers(0, width, (d, k)), p
+    yield (np.arange(0, 24, 2), np.arange(1, 24, 2), rng.integers(0, 5, (12, 12), dtype=np.uint8),
+           rng.integers(0, 24, (2, 12)), 5)
     # the real inputs of a level, from each resolution's own kernels
     for name, q in (("8.3", 2), ("8.3", 8), ("9.2", 3), ("9.2", 9), ("27.3", 3),
                     ("27.3", 27), ("5.1", 5)):
@@ -348,21 +408,25 @@ def _radical_cases():
         res = resolution.MinimalResolution(group, p, q)
         res.extend_to(3)
         for n in range(3):
-            kernel = linalg._kernel_basis_mod(res.coordinate_differential(n), p, q)
-            cols = resolution._acting_columns(group, res.lead[n], group.minimal_generators())
-            yield (kernel % p).astype(np.uint8), cols, p
+            lead, piv, x = linalg._kernel_split(res.coordinate_differential(n), p, q)
+            cols = resolution._acting_columns(group, lead, group.minimal_generators())
+            yield lead, piv, (x % p).astype(np.uint8), cols, p
 
 
 def test_radical_pivots_match_the_dense_radical():
-    # block j of the radical is residues[:, cols[j]] - I mod p; its pivots
-    # with columns reversed, whether it is built densely or packed
+    # block j of the radical is K[:, cols[j]] - I mod p, K the kernel that
+    # is 1 at lead[i] and x[i] at piv in row i; its pivots with columns
+    # reversed, whether it is built densely or packed
     cases = 0
-    for residues, cols, p in _radical_cases():
-        k = len(residues)
+    for lead, piv, x, cols, p in _radical_cases():
+        k = len(lead)
+        kernel = np.zeros((k, k + len(piv)), dtype=np.int64)
+        kernel[:, piv] = x
+        kernel[np.arange(k), lead] = 1
         radical = np.vstack([np.zeros((0, k), dtype=np.int64)] + [
-            (residues[:, c].astype(np.int64) - np.eye(k, dtype=np.int64)) % p for c in cols])
+            (kernel[:, c] - np.eye(k, dtype=np.int64)) % p for c in cols])
         want = linalg.pivot_columns(radical[:, ::-1], p)
-        assert linalg._radical_pivots(residues, cols, p) == want, (p, residues.shape, len(cols))
+        assert linalg._radical_pivots(lead, piv, x, cols, p) == want, (p, x.shape, len(cols))
         if radical.size and k <= 16:
             assert want == rref_mod_p(radical[:, ::-1].tolist(), p)[1]
         cases += 1

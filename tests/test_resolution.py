@@ -213,20 +213,20 @@ def test_budget_of_a_later_call_leaves_an_extension_in_flight_alone(
         monkeypatch, cold_caches):
     from pgph import linalg
     g = bundled_group("16.3")
-    kernel_basis = linalg._kernel_basis_mod
+    kernel_split = linalg._kernel_split
     calls = []
 
-    def kernel_basis_with_a_cache_hit(a, p, q):
+    def kernel_split_with_a_cache_hit(a, p, q):
         # the budget shrinks, and a second caller reaches the cached
         # resolution under it, while the first caller is extending it
         if not calls:
             monkeypatch.setenv("PGPH_BUDGET", "fp=10")
             minimal_resolution(g, 0)
         calls.append(1)
-        return kernel_basis(a, p, q)
+        return kernel_split(a, p, q)
 
     monkeypatch.delenv("PGPH_BUDGET", raising=False)
-    monkeypatch.setattr(linalg, "_kernel_basis_mod", kernel_basis_with_a_cache_hit)
+    monkeypatch.setattr(linalg, "_kernel_split", kernel_split_with_a_cache_hit)
     res = minimal_resolution(g, 3)
     assert len(calls) == 3
     assert res.ranks == [1, 2, 4, 6]
@@ -295,6 +295,46 @@ def test_generators_follow_the_greedy_rule():
                      for i in range(len(kernel) + 1)]
             picks = [i for i in range(len(kernel)) if ranks[i + 1] > ranks[i]]
             assert np.array_equal(res.gen_images[n], kernel[picks]), (entry.id, n)
+
+
+def _dense_level(res, n):
+    """(lead[n], gen_images[n + 1]) of ``res`` rebuilt from the whole of
+    K_n: the dense kernel of D_n, its checks, and the dense radical."""
+    from pgph import linalg
+    from pgph.resolution import _acting_columns
+    p, q, size = res.prime, res.modulus, res.group.order
+    diff = res.coordinate_differential(n)
+    kernel = linalg._kernel_basis_mod(diff, p, q)
+    k = len(kernel)
+    # exact: every sum of products is an integer below 2^53
+    assert not (kernel.astype(float) @ diff.astype(float) % q).any()
+    residues = kernel.astype(np.int64) % p
+    assert not (residues.reshape(k, len(diff) // size, size).sum(axis=2) % p).any()
+    lead = (residues != 0).argmax(axis=1) if k else np.zeros(0, dtype=np.intp)
+    cols = _acting_columns(res.group, lead, res.group.minimal_generators())
+    radical = np.vstack([np.zeros((0, k), dtype=np.int64)] + [
+        (residues[:, c] - np.eye(k, dtype=np.int64)) % p for c in cols])
+    ends = {k - 1 - c for c in linalg.pivot_columns(radical[:, ::-1], p)}
+    return lead, kernel[[i for i in range(k) if i not in ends]]
+
+
+def test_levels_match_a_dense_reference():
+    # no level forms K_n: its lead columns and generator images, bytes and
+    # dtype, are those read off the dense kernel and the dense radical
+    from pgph.resolution import MinimalResolution, _prime
+    cases = [(e.group, None, 4) for e in bundled_catalog() if e.order <= 27]
+    cases += [(bundled_group(name), q, 3) for name, q in (("8.3", 8), ("9.2", 27), ("16.3", 4))]
+    cases += [(group_from_permutations(cyclic_product_rep([2] * 5)), None, 4),
+              (group_from_permutations(cyclic_product_rep([3] * 3)), None, 6)]
+    for group, q, degree in cases:
+        res = MinimalResolution(group, _prime(group), q)
+        res.extend_to(degree)
+        for n in range(degree):
+            lead, gens = _dense_level(res, n)
+            assert lead.dtype == res.lead[n].dtype and np.array_equal(lead, res.lead[n])
+            assert gens.dtype == res.gen_images[n + 1].dtype, (group.order, q, n)
+            assert np.array_equal(gens, res.gen_images[n + 1]), (group.order, q, n)
+            assert res.ranks[n + 1] == len(gens)
 
 
 def test_coordinate_levels_match_full_width():
